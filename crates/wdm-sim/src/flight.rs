@@ -1,13 +1,13 @@
 //! Flight recorder: a span-oriented trace sink with Chrome trace export.
 //!
 //! [`FlightRecorder`] is an [`Observer`] that keeps the most recent kernel
-//! instrumentation events in a bounded ring — like [`crate::trace::EventTrace`]
-//! but covering the full event vocabulary (calendar pops and quantum expiries
-//! included) and exporting **Chrome trace-event JSON** that loads directly in
-//! Perfetto / `chrome://tracing`. The paper explains long latencies with a
-//! cause tool that samples what the machine was doing (§2.3); the flight
-//! recorder is the always-on equivalent: attach it to a cell, re-run the
-//! minute, and read the timeline.
+//! instrumentation events in a bounded ring — the full event vocabulary,
+//! calendar pops and quantum expiries included — and exports **Chrome
+//! trace-event JSON** that loads directly in Perfetto / `chrome://tracing`.
+//! The paper explains long latencies with a cause tool that samples what the
+//! machine was doing (§2.3); the flight recorder is the always-on
+//! equivalent: attach it to a cell, re-run the minute, and read the
+//! timeline.
 //!
 //! Determinism contract: the recorder is strictly read-only. It draws no
 //! randomness, mutates no kernel state, and when it is not attached (or its
@@ -154,6 +154,11 @@ impl FlightRecorder {
     }
 
     fn push(&mut self, e: FlightEvent) {
+        // `events_in` binary-searches the ring, so it must stay sorted.
+        debug_assert!(
+            self.ring.back().is_none_or(|b| b.at() <= e.at()),
+            "flight events must arrive in time order"
+        );
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
             self.dropped += 1;
@@ -187,16 +192,14 @@ impl FlightRecorder {
 
     /// Copies out the retained events whose timestamp falls in
     /// `[lo, hi]`, oldest first — the episode-capture window of the blame
-    /// tool. The ring is time-ordered, so this is one bounded scan.
+    /// tool. Every event is stamped with the kernel clock at push time, so
+    /// the ring is sorted by [`FlightEvent::at`]: two binary searches find
+    /// the window's ends and only the window is copied, O(log ring +
+    /// window). An empty or inverted window (`lo > hi`) yields nothing.
     pub fn events_in(&self, lo: Instant, hi: Instant) -> Vec<FlightEvent> {
-        self.ring
-            .iter()
-            .filter(|e| {
-                let at = e.at();
-                at >= lo && at <= hi
-            })
-            .copied()
-            .collect()
+        let start = self.ring.partition_point(|e| e.at() < lo);
+        let end = self.ring.partition_point(|e| e.at() <= hi).max(start);
+        self.ring.range(start..end).copied().collect()
     }
 
     /// Renders the retained events as Chrome trace-event JSON objects, one
