@@ -250,12 +250,8 @@ pub fn measure_cell(cfg: &RunConfig, os: OsKind, w: WorkloadKind) -> ScenarioMea
 /// cap, so the concatenation holds every global top-K candidate.
 pub fn finish_blame(m: &mut ScenarioMeasurement, cfg: &RunConfig) {
     if let Some(opts) = cfg.blame {
-        let cap = match opts.trigger {
-            wdm_latency::BlameTrigger::TopK(k) => k.min(opts.max_episodes),
-            _ => opts.max_episodes,
-        };
         m.blame_episodes.sort_by_key(|e| std::cmp::Reverse(e.0));
-        m.blame_episodes.truncate(cap);
+        m.blame_episodes.truncate(opts.capacity());
     }
 }
 

@@ -12,10 +12,15 @@
 //! the invariant that the components sum bit-for-bit to the measured
 //! latency in cycles (proven by the `blame_exactness` proptest oracle).
 //!
-//! On a triggered sample the recorder additionally snapshots the flight
-//! ring around the episode window into a bounded per-cell episode store
-//! (largest-K retention with counted eviction), rendered post-run as a
-//! Perfetto trace with the episode window highlighted on its own track.
+//! On a triggered sample the store keeps, the recorder additionally
+//! snapshots the flight ring around the episode window into a bounded
+//! per-cell episode store (largest-K retention with counted eviction),
+//! rendered post-run as a Perfetto trace with the episode window
+//! highlighted on its own track. Retention is decided before the
+//! snapshot, so a sample evicted on arrival costs no window copy, and the
+//! recorder declares its watched threads
+//! ([`Observer::blame_threads`]) so the kernel decomposes no other
+//! thread's resumes.
 //!
 //! Determinism contract: the recorder is read-only — it draws no
 //! randomness and mutates no kernel state — so arming it never changes a
@@ -59,6 +64,19 @@ pub struct BlameOptions {
     pub trigger: BlameTrigger,
     /// Hard bound on retained episodes (largest-K, counted eviction).
     pub max_episodes: usize,
+}
+
+impl BlameOptions {
+    /// Episodes the store retains: the top-K bound capped by
+    /// [`BlameOptions::max_episodes`] (the other triggers retain up to
+    /// `max_episodes`). The per-shard store and the per-cell re-rank both
+    /// use this one rule.
+    pub fn capacity(&self) -> usize {
+        match self.trigger {
+            BlameTrigger::TopK(k) => k.min(self.max_episodes),
+            _ => self.max_episodes,
+        }
+    }
 }
 
 impl Default for BlameOptions {
@@ -235,13 +253,18 @@ impl BlameRecorder {
     /// Creates the recorder watching `watched` threads. `flight`, when
     /// given, is the same recorder attached to the kernel — the blame tool
     /// snapshots (never mutates) its ring.
+    ///
+    /// # Panics
+    ///
+    /// If `opts` leaves no room for an episode (`max_episodes == 0` or
+    /// `TopK(0)`).
     pub fn new(
         k: &Kernel,
         watched: Vec<(ThreadId, &'static str)>,
         opts: BlameOptions,
         flight: Option<Rc<RefCell<FlightRecorder>>>,
     ) -> BlameRecorder {
-        assert!(opts.max_episodes > 0, "need room for at least one episode");
+        assert!(opts.capacity() > 0, "need room for at least one episode");
         BlameRecorder {
             watched,
             opts,
@@ -270,36 +293,44 @@ impl BlameRecorder {
         }
     }
 
-    /// Inserts a triggered episode under largest-K retention: when the
+    /// Whether largest-K retention keeps a triggered sample of
+    /// `latency_cycles` on arrival: the store has room, or the sample is
+    /// strictly larger than the retained minimum (a tie loses to the
+    /// earlier arrival, so earlier episodes win deterministically).
+    fn keeps(&self, latency_cycles: u64) -> bool {
+        self.episodes.len() < self.opts.capacity()
+            || self
+                .episodes
+                .iter()
+                .any(|e| latency_cycles > e.latency_cycles)
+    }
+
+    /// Inserts an episode [`BlameRecorder::keeps`] accepted: when the
     /// store is full the smallest episode goes (ties evict the later
-    /// arrival, so earlier episodes win deterministically), and a sample
-    /// no larger than the retained minimum is itself evicted on arrival.
+    /// arrival) and is counted as evicted.
     fn retain(&mut self, ep: BlameEpisode) {
-        let cap = match self.opts.trigger {
-            BlameTrigger::TopK(k) => k.min(self.opts.max_episodes),
-            _ => self.opts.max_episodes,
-        };
-        if self.episodes.len() < cap {
-            self.episodes.push(ep);
-            return;
-        }
-        let (min_i, min_ep) = self
-            .episodes
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| (e.latency_cycles, std::cmp::Reverse(e.ordinal)))
-            .expect("store is non-empty at capacity");
-        if ep.latency_cycles > min_ep.latency_cycles {
+        if self.episodes.len() == self.opts.capacity() {
+            let min_i = self
+                .episodes
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, e)| (e.latency_cycles, std::cmp::Reverse(e.ordinal)))
+                .map(|(i, _)| i)
+                .expect("capacity is positive, so a full store is non-empty");
             self.episodes.remove(min_i);
-            self.episodes.push(ep);
+            self.summary.evicted += 1;
         }
-        self.summary.evicted += 1;
+        self.episodes.push(ep);
     }
 }
 
 impl Observer for BlameRecorder {
     fn interest(&self) -> Interest {
         Interest::RESUME_BLAME
+    }
+
+    fn blame_threads(&self) -> Option<Vec<ThreadId>> {
+        Some(self.watched.iter().map(|&(t, _)| t).collect())
     }
 
     fn on_resume_blame(&mut self, e: &ResumeBlame) {
@@ -329,6 +360,14 @@ impl Observer for BlameRecorder {
         }
         self.summary.triggered += 1;
         self.triggered_hist.record_cycles(Cycles(latency_cycles), self.cpu_hz);
+        let ordinal = self.next_ordinal;
+        self.next_ordinal += 1;
+        // Decide retention before capturing: a sample evicted on arrival
+        // keeps its ordinal and its counts but copies no window.
+        if !self.keeps(latency_cycles) {
+            self.summary.evicted += 1;
+            return;
+        }
         // Snapshot the flight ring around the window, one tick of padding
         // each side (the cause tool's convention).
         let pad = Cycles(self.cpu_hz / 1000);
@@ -342,8 +381,8 @@ impl Observer for BlameRecorder {
                 )
             })
             .unwrap_or_default();
-        let ep = BlameEpisode {
-            ordinal: self.next_ordinal,
+        self.retain(BlameEpisode {
+            ordinal,
             tag,
             priority: e.priority,
             readied: e.readied,
@@ -352,9 +391,7 @@ impl Observer for BlameRecorder {
             latency_ms,
             breakdown: e.breakdown,
             window,
-        };
-        self.next_ordinal += 1;
-        self.retain(ep);
+        });
     }
 }
 
@@ -511,6 +548,52 @@ window [600000, 1650000] cycles, latency 3.500 ms, 0 flight events
         assert_eq!(bm.summary.triggered, 2);
         let lats: Vec<u64> = bm.episodes.iter().map(|e| e.latency_cycles).collect();
         assert_eq!(lats, vec![100, 200]);
+    }
+
+    /// `TopK(0)` leaves no room for an episode; it used to be accepted and
+    /// then panic at the first watched resume.
+    #[test]
+    #[should_panic(expected = "need room for at least one episode")]
+    fn top_zero_is_rejected_at_construction() {
+        let k = Kernel::new(KernelConfig::default());
+        BlameRecorder::new(
+            &k,
+            vec![(ThreadId(0), "rt24")],
+            BlameOptions {
+                trigger: BlameTrigger::TopK(0),
+                max_episodes: 4,
+            },
+            None,
+        );
+    }
+
+    #[test]
+    fn capacity_caps_top_k_by_max_episodes() {
+        let cap = |trigger, max_episodes| {
+            BlameOptions {
+                trigger,
+                max_episodes,
+            }
+            .capacity()
+        };
+        assert_eq!(cap(BlameTrigger::TopK(2), 8), 2);
+        assert_eq!(cap(BlameTrigger::TopK(16), 8), 8);
+        assert_eq!(cap(BlameTrigger::TopK(0), 8), 0);
+        assert_eq!(cap(BlameTrigger::ThresholdMs(2.0), 8), 8);
+        assert_eq!(cap(BlameTrigger::BlockMax, 3), 3);
+        assert_eq!(BlameOptions::default().capacity(), 4);
+    }
+
+    #[test]
+    fn recorder_declares_its_watched_threads() {
+        let k = Kernel::new(KernelConfig::default());
+        let rec = BlameRecorder::new(
+            &k,
+            vec![(ThreadId(3), "rt24"), (ThreadId(5), "rt28")],
+            BlameOptions::default(),
+            None,
+        );
+        assert_eq!(rec.blame_threads(), Some(vec![ThreadId(3), ThreadId(5)]));
     }
 
     #[test]

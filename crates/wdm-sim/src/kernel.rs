@@ -219,6 +219,14 @@ pub struct Kernel {
     /// outside this union costs one branch: no event struct, no list
     /// take/restore.
     interest_union: Interest,
+    /// Threads a [`Interest::RESUME_BLAME`] observer asked to have
+    /// decomposed ([`Observer::blame_threads`]), by thread index: the
+    /// union over blame observers. Only these snapshot a [`BlameMark`] at
+    /// ready and emit a [`ResumeBlame`] at resume.
+    blame_watch: Vec<bool>,
+    /// Some blame observer declared `blame_threads() == None`: every
+    /// thread is armed, `blame_watch` notwithstanding.
+    blame_all: bool,
     resched: bool,
     current_label: Label,
     /// Cycle accounting by hierarchy level.
@@ -332,6 +340,8 @@ impl Kernel {
             env: Vec::new(),
             by_kind: std::array::from_fn(|_| Vec::new()),
             interest_union: Interest::NONE,
+            blame_watch: Vec::new(),
+            blame_all: false,
             resched: false,
             current_label: Label::IDLE,
             account: CycleAccount::default(),
@@ -550,10 +560,25 @@ impl Kernel {
     /// The observer's [`Interest`] mask is sniffed here, once; it must not
     /// change afterwards. Event kinds outside the mask are never delivered
     /// to it, and kinds outside the union of all masks are skipped before
-    /// the event struct is even built.
+    /// the event struct is even built. A blame observer's
+    /// [`Observer::blame_threads`] is read here too and joins the armed
+    /// thread set.
     pub fn add_observer<T: Observer + 'static>(&mut self, obs: ObserverHandle<T>) {
         let interest = obs.borrow().interest();
         self.interest_union |= interest;
+        if interest.contains(Interest::RESUME_BLAME) {
+            match obs.borrow().blame_threads() {
+                None => self.blame_all = true,
+                Some(ids) => {
+                    for t in ids {
+                        if t.0 >= self.blame_watch.len() {
+                            self.blame_watch.resize(t.0 + 1, false);
+                        }
+                        self.blame_watch[t.0] = true;
+                    }
+                }
+            }
+        }
         let obs: Rc<RefCell<dyn Observer>> = obs;
         for i in 0..Interest::KINDS {
             if interest.contains(Interest::kind_at(i)) {
@@ -1863,9 +1888,8 @@ impl Kernel {
                             };
                             self.notify(Interest::THREAD_RESUME, |o, k| o.on_thread_resume(k), &e);
                         }
-                        let mark = self.threads[i].blame_mark.take();
                         if self.wants(Interest::RESUME_BLAME) {
-                            if let Some(mark) = mark {
+                            if let Some(mark) = self.threads[i].blame_mark.take() {
                                 let e = self.build_resume_blame(t, readied, &mark);
                                 debug_assert_eq!(
                                     e.breakdown.total(),
@@ -2522,8 +2546,9 @@ impl Kernel {
         // Blame armed: snapshot the cycle ledgers at ready time. The
         // resume emit takes the deltas, which sum bit-exactly to the
         // window because every elapsed cycle lands in exactly one ledger
-        // bucket (DESIGN.md §15). Plain copies — no allocation.
-        if self.wants(Interest::RESUME_BLAME) {
+        // bucket (DESIGN.md §15). Plain copies — no allocation — and only
+        // for threads a blame observer watches.
+        if self.wants(Interest::RESUME_BLAME) && self.blame_armed(i) {
             self.threads[i].blame_mark = Some(BlameMark {
                 account: self.account,
                 overhead: self.blame_overhead_cycles,
@@ -2716,6 +2741,14 @@ impl Kernel {
     #[inline]
     fn wants(&self, kind: Interest) -> bool {
         self.interest_union.contains(kind)
+    }
+
+    /// True if thread index `i` is in the armed blame set (see
+    /// [`Kernel::add_observer`]). Callers gate on
+    /// `wants(Interest::RESUME_BLAME)` first.
+    #[inline]
+    fn blame_armed(&self, i: usize) -> bool {
+        self.blame_all || self.blame_watch.get(i).copied().unwrap_or(false)
     }
 
     /// Invokes `f` on every observer interested in `kind` without cloning

@@ -132,7 +132,7 @@ impl BlameBreakdown {
 
 /// Emitted alongside [`ThreadResume`] when blame attribution is armed:
 /// the same latency window plus its exact component decomposition.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResumeBlame {
     /// Which thread.
     pub thread: ThreadId,
@@ -237,6 +237,21 @@ pub trait Observer {
         Interest::ALL
     }
 
+    /// Which threads' resumes a [`Interest::RESUME_BLAME`] observer needs
+    /// decomposed. Sniffed once, at
+    /// [`crate::kernel::Kernel::add_observer`] time, and only for
+    /// observers that arm blame.
+    ///
+    /// `None` (the default) means every thread. The kernel arms the union
+    /// over all blame observers — any `None` arms every thread — and only
+    /// armed threads pay for a ledger snapshot at ready and a
+    /// [`ResumeBlame`] at resume. Delivery is still to every blame
+    /// observer, so an observer sharing the kernel with a wider one may
+    /// see other threads' resumes and must filter its own.
+    fn blame_threads(&self) -> Option<Vec<ThreadId>> {
+        None
+    }
+
     /// An ISR entered. Fires for every vector, including the PIT.
     fn on_isr_enter(&mut self, _e: &IsrEnter) {}
 
@@ -330,6 +345,7 @@ mod tests {
     #[test]
     fn default_interest_is_all() {
         assert_eq!(Nop.interest(), Interest::ALL);
+        assert_eq!(Nop.blame_threads(), None, "default blame arms every thread");
     }
 
     #[test]

@@ -86,8 +86,8 @@ pub struct Tcb {
     /// Number of waits satisfied.
     pub waits_satisfied: u64,
     /// Blame-ledger snapshot taken when the thread was last readied, set
-    /// only while an observer arms `Interest::RESUME_BLAME` (inline copy,
-    /// no allocation).
+    /// only while an observer arms `Interest::RESUME_BLAME` for this
+    /// thread (inline copy, no allocation).
     pub(crate) blame_mark: Option<crate::kernel::BlameMark>,
 }
 

@@ -8,7 +8,9 @@
 //! resume-blame events, virtual-time flame sampling) is purely
 //! observational: arming it changes nothing the simulation computes.
 //! This suite drives randomized device + thread scenarios and checks
-//! both, plus batching-invariance of the flame counts.
+//! both, plus batching-invariance of the flame counts and the per-thread
+//! watch list ([`Observer::blame_threads`]): narrowing blame to one
+//! thread delivers exactly that thread's slice of the all-threads stream.
 
 use std::{cell::RefCell, rc::Rc};
 
@@ -19,12 +21,26 @@ use wdm_sim::prelude::*;
 /// Records every resume-blame event, nothing else.
 #[derive(Default)]
 struct BlameLog {
+    /// The declared watch list; `None` arms every thread.
+    watch: Option<Vec<ThreadId>>,
     events: Vec<ResumeBlame>,
+}
+
+impl BlameLog {
+    fn watching(t: ThreadId) -> Rc<RefCell<BlameLog>> {
+        Rc::new(RefCell::new(BlameLog {
+            watch: Some(vec![t]),
+            events: Vec::new(),
+        }))
+    }
 }
 
 impl Observer for BlameLog {
     fn interest(&self) -> Interest {
         Interest::RESUME_BLAME
+    }
+    fn blame_threads(&self) -> Option<Vec<ThreadId>> {
+        self.watch.clone()
     }
     fn on_resume_blame(&mut self, e: &ResumeBlame) {
         self.events.push(*e);
@@ -92,8 +108,13 @@ fn scenario() -> impl Strategy<Value = Scenario> {
 /// SetEvent) waking a default-priority RT thread, a higher-priority RT
 /// thread on the same wake (preemption pressure), normal-priority hogs
 /// (quantum pressure), and stochastic interrupt-masked windows (masked
-/// pressure) — every blame component gets exercised.
-fn build(sc: Scenario, blame: Option<Rc<RefCell<BlameLog>>>, flame_period: u64) -> Kernel {
+/// pressure) — every blame component gets exercised. Returns the kernel
+/// and the default-priority RT thread.
+fn build(
+    sc: Scenario,
+    blame: Option<Rc<RefCell<BlameLog>>>,
+    flame_period: u64,
+) -> (Kernel, ThreadId) {
     let cfg = KernelConfig {
         seed: sc.seed,
         ..KernelConfig::default()
@@ -152,7 +173,7 @@ fn build(sc: Scenario, blame: Option<Rc<RefCell<BlameLog>>>, flame_period: u64) 
         },
     ));
 
-    let _rt = k.create_thread(
+    let rt = k.create_thread(
         "rt",
         RT_DEFAULT_PRIORITY,
         Box::new(LoopSeq::new(vec![
@@ -187,7 +208,7 @@ fn build(sc: Scenario, blame: Option<Rc<RefCell<BlameLog>>>, flame_period: u64) 
             ])),
         );
     }
-    k
+    (k, rt)
 }
 
 fn fingerprint(k: &Kernel) -> Fingerprint {
@@ -210,7 +231,7 @@ proptest! {
     #[test]
     fn blame_components_sum_exactly_and_forensics_are_neutral(sc in scenario()) {
         let log = Rc::new(RefCell::new(BlameLog::default()));
-        let mut armed = build(sc, Some(log.clone()), FLAME_PERIOD);
+        let (mut armed, _) = build(sc, Some(log.clone()), FLAME_PERIOD);
         armed.run_for(Cycles::from_ms(sc.run_ms as f64));
 
         let events = log.borrow().events.clone();
@@ -232,7 +253,7 @@ proptest! {
         );
 
         // Neutrality: a bare run (no observer, no flame) is bit-identical.
-        let mut bare = build(sc, None, 0);
+        let (mut bare, _) = build(sc, None, 0);
         bare.run_for(Cycles::from_ms(sc.run_ms as f64));
         prop_assert_eq!(fingerprint(&armed), fingerprint(&bare));
 
@@ -241,13 +262,43 @@ proptest! {
         prop_assert_eq!(total, armed.now().0 / FLAME_PERIOD);
     }
 
+    /// A watch list narrows blame to its thread and changes nothing else:
+    /// the watching observer receives exactly the all-threads stream
+    /// filtered to that thread, the trajectory is the bare kernel's, and
+    /// the kernel takes the observer list once per watched resume only.
+    #[test]
+    fn watch_list_delivers_exactly_the_watched_stream(sc in scenario()) {
+        let run = Cycles::from_ms(sc.run_ms as f64);
+        let all = Rc::new(RefCell::new(BlameLog::default()));
+        let (mut armed_all, rt) = build(sc, Some(all.clone()), 0);
+        armed_all.run_for(run);
+        let all = all.borrow();
+        // Watch the first thread to resume: short runs can end before a
+        // given thread's first wake. Thread ids are stable across builds.
+        let target = all.events.first().map_or(rt, |e| e.thread);
+
+        let (mut watched, _) = build(sc, None, 0);
+        let log = BlameLog::watching(target);
+        watched.add_observer(log.clone());
+        watched.run_for(run);
+
+        let expected: Vec<ResumeBlame> =
+            all.events.iter().filter(|e| e.thread == target).copied().collect();
+        prop_assert_eq!(&log.borrow().events, &expected);
+
+        let (mut bare, _) = build(sc, None, 0);
+        bare.run_for(run);
+        prop_assert_eq!(fingerprint(&watched), fingerprint(&bare));
+        prop_assert_eq!(watched.notify_takes, expected.len() as u64);
+    }
+
     /// Flame counts are an execution-strategy invariant: batching on and
     /// off attribute every sample to the same label.
     #[test]
     fn flame_counts_are_batching_invariant(sc in scenario()) {
-        let mut batched = build(sc, None, FLAME_PERIOD);
+        let (mut batched, _) = build(sc, None, FLAME_PERIOD);
         batched.run_for(Cycles::from_ms(sc.run_ms as f64));
-        let mut single = build(sc, None, FLAME_PERIOD);
+        let (mut single, _) = build(sc, None, FLAME_PERIOD);
         single.set_step_batching(false);
         single.run_for(Cycles::from_ms(sc.run_ms as f64));
         prop_assert_eq!(fingerprint(&batched), fingerprint(&single));
@@ -275,7 +326,7 @@ fn preemption_and_masking_show_up_in_the_breakdown() {
         run_ms: 40,
     };
     let log = Rc::new(RefCell::new(BlameLog::default()));
-    let mut k = build(sc, Some(log.clone()), 0);
+    let (mut k, _) = build(sc, Some(log.clone()), 0);
     k.run_for(Cycles::from_ms(sc.run_ms as f64));
     let events = log.borrow().events.clone();
     assert!(!events.is_empty());
@@ -298,6 +349,50 @@ fn preemption_and_masking_show_up_in_the_breakdown() {
     }
 }
 
+/// The armed set is a union and `None` means every thread: a watch-list
+/// observer sharing the kernel with an all-threads one is delivered every
+/// thread's resumes, and a second watch list widens the set.
+#[test]
+fn watch_lists_union_and_none_arms_every_thread() {
+    let sc = Scenario {
+        seed: 7,
+        isr_busy: 20_001,
+        dpc_busy: 60_001,
+        rt_busy: 150_001,
+        hi_busy: 120_001,
+        hog_busy: 90_001,
+        hog_sleep: 200_001,
+        cli_len: 80_001,
+        arrival_lo: 80_001,
+        arrival_hi: 680_001,
+        run_ms: 40,
+    };
+    let run = Cycles::from_ms(sc.run_ms as f64);
+    let all = Rc::new(RefCell::new(BlameLog::default()));
+    let (mut k, rt) = build(sc, Some(all.clone()), 0);
+    let narrow = BlameLog::watching(rt);
+    k.add_observer(narrow.clone());
+    k.run_for(run);
+    assert!(all.borrow().events.iter().any(|e| e.thread != rt));
+    assert_eq!(narrow.borrow().events, all.borrow().events);
+
+    // Two watch lists arm their union: rt plus the thread created right
+    // after it (rt-hi), and no one else.
+    let (mut k, rt) = build(sc, None, 0);
+    let hi = ThreadId(rt.0 + 1);
+    let a = BlameLog::watching(rt);
+    let b = BlameLog::watching(hi);
+    k.add_observer(a.clone());
+    k.add_observer(b.clone());
+    k.run_for(run);
+    let events = a.borrow().events.clone();
+    assert_eq!(events, b.borrow().events);
+    assert!(events.iter().any(|e| e.thread == rt));
+    assert!(events.iter().any(|e| e.thread == hi));
+    assert!(events.iter().all(|e| e.thread == rt || e.thread == hi));
+    assert_eq!(k.notify_takes, events.len() as u64);
+}
+
 /// A disarmed kernel pays nothing: no observer arming RESUME_BLAME means
 /// no takes for it, and the per-priority ledger stays untouched.
 #[test]
@@ -315,7 +410,7 @@ fn disarmed_blame_costs_no_takes() {
         arrival_hi: 660_001,
         run_ms: 10,
     };
-    let mut k = build(sc, None, 0);
+    let (mut k, _) = build(sc, None, 0);
     k.run_for(Cycles::from_ms(sc.run_ms as f64));
     assert_eq!(k.notify_takes, 0, "no observer, no takes");
 }
