@@ -62,11 +62,6 @@ pub struct RunConfig {
     /// measured value and `summary_digest` stay bit-identical with this on
     /// or off (CI asserts it).
     pub trace: bool,
-    /// Compile fixed-shape programs into flat instruction streams (the
-    /// default). `repro --no-compile` clears it to run every cell on the
-    /// interpreted reference path; outputs are byte-identical either way
-    /// (CI's compile-smoke job asserts it against the committed digests).
-    pub compile: bool,
     /// How distribution draws are lowered (`repro --sampler-mode`).
     /// `Exact` (default) is bit-identical to the interpreted samplers;
     /// `Table` swaps heavy-tail draws for quantile-table inverse-CDF
@@ -98,7 +93,6 @@ impl Default for RunConfig {
             threads: 0,
             shards: 1,
             trace: false,
-            compile: true,
             sampler_mode: SamplerMode::Exact,
             batch_record: true,
             blame: None,
@@ -120,7 +114,6 @@ impl RunConfig {
             flame_hz: self.flame_hz,
             ..MeasureOptions::default()
         };
-        opts.scenario.compile = self.compile;
         opts.scenario.sampler_mode = self.sampler_mode;
         opts.batch_record = self.batch_record;
         opts
@@ -285,11 +278,6 @@ pub struct CellTiming {
     /// reports `steps_executed / step_dispatches` per cell as
     /// `batch_steps_per_dispatch`.
     pub step_dispatches: u64,
-    /// Steps executed through compiled instruction streams (a subset of
-    /// `steps_executed`; 0 under `--no-compile`). The timing artifact
-    /// reports `compiled_steps / step_dispatches` per cell as
-    /// `compile_steps_per_dispatch`.
-    pub compiled_steps: u64,
     /// Latency samples recorded across the cell's 11 measurement series.
     /// The timing artifact reports `samples_recorded / wall_s` per cell as
     /// `measure_events_per_sec` — the throughput of the cycle-domain
@@ -518,9 +506,6 @@ pub fn measure_all_timed(cfg: &RunConfig) -> TimedCells {
             sim_events: m.sim_events,
             steps_executed: m.steps_executed,
             step_dispatches: m.step_dispatches,
-            // Shards sum this counter exactly in the metrics merge, so the
-            // registry is the authoritative per-cell total.
-            compiled_steps: m.metrics.counter_value("sim.compiled_steps").unwrap_or(0),
             samples_recorded: m.samples_recorded(),
             batch_flushes: m.metrics.counter_value("latency.batch_flushes").unwrap_or(0),
             staged_samples: m.metrics.counter_value("latency.staged_samples").unwrap_or(0),
@@ -611,7 +596,6 @@ mod tests {
             threads: 0,
             shards: 1,
             trace: false,
-            compile: true,
             sampler_mode: wdm_osmodel::dist::SamplerMode::Exact,
             batch_record: true,
             blame: None,
@@ -666,7 +650,6 @@ mod tests {
             threads: 1,
             shards: 8,
             trace: false,
-            compile: true,
             sampler_mode: wdm_osmodel::dist::SamplerMode::Exact,
             batch_record: true,
             blame: None,
@@ -688,7 +671,6 @@ mod tests {
             threads: 1,
             shards: 2,
             trace: false,
-            compile: true,
             sampler_mode: wdm_osmodel::dist::SamplerMode::Exact,
             batch_record: true,
             blame: None,

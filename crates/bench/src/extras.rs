@@ -589,7 +589,6 @@ mod tests {
             threads: 0,
             shards: 1,
             trace: false,
-            compile: true,
             sampler_mode: wdm_osmodel::dist::SamplerMode::Exact,
         batch_record: true,
         blame: None,

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! repro <artifact> [--minutes N | --full] [--seed S] [--threads T]
-//!                  [--shards K] [--out DIR] [--no-compile]
+//!                  [--shards K] [--out DIR]
 //!                  [--sampler-mode exact|table]
 //!
 //! artifacts:
@@ -29,7 +29,7 @@ use wdm_bench::{
 };
 use wdm_osmodel::dist::SamplerMode;
 
-const USAGE: &str = "usage: repro <artifact> [--minutes N | --full] [--seed S] [--threads T] [--shards K] [--out DIR] [--trace] [--no-compile] [--no-batch-record] [--sampler-mode exact|table] [--blame-mode topk|threshold|blockmax] [--blame-threshold-ms T] [--blame-top K] [--flame-hz HZ] [--repeats R] [--quiet | --verbose]
+const USAGE: &str = "usage: repro <artifact> [--minutes N | --full] [--seed S] [--threads T] [--shards K] [--out DIR] [--trace] [--no-batch-record] [--sampler-mode exact|table] [--blame-mode topk|threshold|blockmax] [--blame-threshold-ms T] [--blame-top K] [--flame-hz HZ] [--repeats R] [--quiet | --verbose]
 
 artifacts:
   table1 table2 table3 table4 figure4 figure5 figure6 figure7
@@ -46,8 +46,6 @@ options:
   --out DIR     also write TSV/JSON artifacts into DIR
   --trace       attach a flight recorder to every cell (output unchanged;
                 the 'trace' artifact implies this and writes TRACE_*.json)
-  --no-compile  run programs through the step interpreter instead of the
-                compiled instruction streams (output byte-identical)
   --no-batch-record
                 record each latency sample straight into its series instead
                 of staging and batch-folding (output byte-identical)
@@ -106,7 +104,6 @@ fn main() {
     let mut threads = 0usize;
     let mut shards = 1usize;
     let mut trace = false;
-    let mut compile = true;
     let mut batch_record = true;
     let mut sampler_mode = SamplerMode::Exact;
     let mut blame_mode: Option<String> = None;
@@ -136,7 +133,6 @@ fn main() {
                 }
             }
             "--trace" => trace = true,
-            "--no-compile" => compile = false,
             "--no-batch-record" => batch_record = false,
             "--blame-mode" => {
                 let raw: String = flag_value(&args, &mut i, "--blame-mode");
@@ -235,7 +231,6 @@ fn main() {
         threads,
         shards,
         trace,
-        compile,
         sampler_mode,
         batch_record,
         blame,

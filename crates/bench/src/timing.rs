@@ -1,16 +1,15 @@
 //! The `repro timing` artifact: harness self-measurement.
 //!
-//! Runs the 8-cell grid four times — once on a single worker as the
+//! Runs the 8-cell grid three times — once on a single worker as the
 //! serial reference, once fanned out over the requested worker count,
-//! once serially with program compilation off (the interpreted reference
-//! path), and once serially in table sampler mode (`--sampler-mode
-//! table`) — verifies the first three runs are observably identical (see
+//! and once serially in table sampler mode (`--sampler-mode table`) —
+//! verifies the first two runs are observably identical (see
 //! [`crate::cells::summary_digest`]; the table run draws a different
 //! sample stream by design and is pinned by its own digest baseline), and
 //! emits a `BENCH_cells.json` report with per-cell wall-clock cost, total
 //! wall clock for the runs, the measured thread speedup, the
-//! compiled-vs-interpreted and exact-vs-table event rates, the simulator
-//! event rate and the measurement-path sample rate.
+//! exact-vs-table event rates, the simulator event rate and the
+//! measurement-path sample rate.
 
 use crate::cells::{
     measure_all_timed, shard_imbalance, summary_digest, Duration, RunConfig, TimedCells,
@@ -23,16 +22,13 @@ pub struct TimingReport {
     pub serial: TimedCells,
     /// Parallel run at the requested thread count.
     pub parallel: TimedCells,
-    /// Serial run with program compilation off: the interpreted reference
-    /// path's cost, for the compiled-vs-interpreted rate comparison.
-    pub interpreted: TimedCells,
     /// Serial run in table sampler mode. Its sample stream differs from
     /// the exact runs by design (quantile-table draws), so it joins the
     /// rate comparison but not the identity check; CI pins it against
     /// `artifacts/CELL_digests_table.txt` instead.
     pub table: TimedCells,
-    /// Whether the serial, parallel and interpreted runs produced
-    /// identical summaries (they must).
+    /// Whether the serial and parallel runs produced identical summaries
+    /// (they must).
     pub identical: bool,
     /// Wall-clock attempts per side; each cell reports its fastest attempt
     /// (see `best_timed`).
@@ -43,12 +39,6 @@ impl TimingReport {
     /// Serial wall clock over parallel wall clock.
     pub fn speedup(&self) -> f64 {
         self.serial.total_wall_s / self.parallel.total_wall_s.max(1e-9)
-    }
-
-    /// Interpreted serial wall clock over (compiled) serial wall clock:
-    /// the single-core payoff of program compilation.
-    pub fn compile_speedup(&self) -> f64 {
-        self.interpreted.total_wall_s / self.serial.total_wall_s.max(1e-9)
     }
 
     /// Exact serial wall clock over table serial wall clock: the
@@ -167,17 +157,6 @@ pub fn run(cfg: &RunConfig, repeats_override: Option<usize>) -> TimingReport {
     let repeats = repeats_override.unwrap_or_else(|| repeats_for(cfg.duration));
     let serial = best_timed(cfg, 1, repeats);
     let parallel = best_timed(cfg, cfg.threads, repeats);
-    // The interpreted pass re-runs the serial grid with compilation off —
-    // its digests joining the identity check is what keeps the walker and
-    // the interpreter observably interchangeable release over release.
-    let interpreted = best_timed(
-        &RunConfig {
-            compile: false,
-            ..*cfg
-        },
-        1,
-        repeats,
-    );
     // The table pass re-runs the serial grid with quantile-table sampling.
     // Its stream differs from exact by design, so it stays out of the
     // identity check; determinism across its own repeats is still asserted
@@ -191,12 +170,10 @@ pub fn run(cfg: &RunConfig, repeats_override: Option<usize>) -> TimingReport {
         1,
         repeats,
     );
-    let identical =
-        digests(&serial) == digests(&parallel) && digests(&serial) == digests(&interpreted);
+    let identical = digests(&serial) == digests(&parallel);
     TimingReport {
         serial,
         parallel,
-        interpreted,
         table,
         identical,
         repeats,
@@ -207,23 +184,21 @@ pub fn run(cfg: &RunConfig, repeats_override: Option<usize>) -> TimingReport {
 /// regression tool) comparing two timing artifacts is warned that the
 /// absolute rates depend on which machine — and which thermal/load phase
 /// of that machine — produced each artifact. Only the *ratios within one
-/// artifact* (speedups, compiled-vs-interpreted, v2-vs-`--stats-v1`) are
+/// artifact* (speedups, exact-vs-table) are
 /// host-phase-controlled, because their sides ran interleaved in one
 /// process. See EXPERIMENTS.md.
 pub const HOST_PHASE_NOTE: &str = "absolute events_per_sec values are \
-    host- and phase-dependent; compare ratios (speedup, compile_speedup, \
-    table_speedup) within one artifact, never absolute rates across \
-    artifacts";
+    host- and phase-dependent; compare ratios (speedup, table_speedup) \
+    within one artifact, never absolute rates across artifacts";
 
 /// Renders the report as the `BENCH_cells.json` document.
 pub fn render_json(cfg: &RunConfig, r: &TimingReport) -> String {
     let mut cells = String::new();
-    for (i, (((t, s), n), b)) in r
+    for (i, ((t, s), b)) in r
         .parallel
         .timings
         .iter()
         .zip(&r.serial.timings)
-        .zip(&r.interpreted.timings)
         .zip(&r.table.timings)
         .enumerate()
     {
@@ -231,11 +206,6 @@ pub fn render_json(cfg: &RunConfig, r: &TimingReport) -> String {
             (t.os, t.workload),
             (s.os, s.workload),
             "serial and parallel timings must list cells in the same order"
-        );
-        assert_eq!(
-            (t.os, t.workload),
-            (n.os, n.workload),
-            "interpreted timings must list cells in the same order"
         );
         assert_eq!(
             (t.os, t.workload),
@@ -250,10 +220,7 @@ pub fn render_json(cfg: &RunConfig, r: &TimingReport) -> String {
         // regression tooling tracks across commits.
         // `batch_steps_per_dispatch` is steps executed per entry into the
         // kernel's inner step loop — >1 shows the batched fast-forward is
-        // engaging for the cell. `compile_steps_per_dispatch` is the
-        // compiled subset of the same ratio — >0 shows the superblock
-        // walker is engaging; `interpreted_events_per_sec` is the same
-        // cell's serial rate with compilation off.
+        // engaging for the cell.
         // `shards` / `shard_wall_s` / `shard_imbalance` describe how the
         // cell's window split for the 8 x K fan-out and how evenly its
         // pieces cost out. `samples_recorded` / `measure_events_per_sec`
@@ -273,10 +240,9 @@ pub fn render_json(cfg: &RunConfig, r: &TimingReport) -> String {
         cells.push_str(&format!(
             "    {{\"os\": {}, \"workload\": {}, \"wall_s\": {}, \"sim_events\": {}, \
              \"events_per_sec\": {}, \"batch_steps_per_dispatch\": {}, \
-             \"compile_steps_per_dispatch\": {}, \
              \"shards\": {}, \"shard_wall_s\": [{}], \"shard_imbalance\": {}, \
              \"serial_wall_s\": {}, \
-             \"serial_events_per_sec\": {}, \"interpreted_events_per_sec\": {}, \
+             \"serial_events_per_sec\": {}, \
              \"table_events_per_sec\": {}, \
              \"samples_recorded\": {}, \"measure_events_per_sec\": {}, \
              \"batch_flushes\": {}, \"samples_per_flush\": {}, \
@@ -288,13 +254,11 @@ pub fn render_json(cfg: &RunConfig, r: &TimingReport) -> String {
             t.sim_events,
             json_f64(t.sim_events as f64 / t.wall_s.max(1e-9)),
             json_f64(t.steps_executed as f64 / t.step_dispatches.max(1) as f64),
-            json_f64(t.compiled_steps as f64 / t.step_dispatches.max(1) as f64),
             t.shards(),
             shard_walls,
             json_f64(t.shard_imbalance()),
             json_f64(s.wall_s),
             json_f64(s.sim_events as f64 / s.wall_s.max(1e-9)),
-            json_f64(n.sim_events as f64 / n.wall_s.max(1e-9)),
             json_f64(b.sim_events as f64 / b.wall_s.max(1e-9)),
             s.samples_recorded,
             json_f64(s.samples_recorded as f64 / s.wall_s.max(1e-9)),
@@ -306,29 +270,26 @@ pub fn render_json(cfg: &RunConfig, r: &TimingReport) -> String {
     }
     let total_events: u64 = r.parallel.timings.iter().map(|t| t.sim_events).sum();
     let total_steps: u64 = r.parallel.timings.iter().map(|t| t.steps_executed).sum();
-    let total_compiled: u64 = r.parallel.timings.iter().map(|t| t.compiled_steps).sum();
     let total_dispatches: u64 = r.parallel.timings.iter().map(|t| t.step_dispatches).sum();
     let total_samples: u64 = r.serial.timings.iter().map(|t| t.samples_recorded).sum();
     let table_events: u64 = r.table.timings.iter().map(|t| t.sim_events).sum();
     format!(
         "{{\n  \"artifact\": \"BENCH_cells\",\n  \"duration\": {},\n  \"seed\": {},\n  \
          \"threads\": {},\n  \"host_cores\": {},\n  \
-         \"shards\": {},\n  \"repeats\": {},\n  \"compiled\": {},\n  \
+         \"shards\": {},\n  \"repeats\": {},\n  \
          \"sampler_mode\": {},\n  \"stats_mode\": {},\n  \
          \"host_phase_note\": {},\n  \"shard_imbalance\": {},\n  \
          \"serial_wall_s\": {},\n  \"parallel_wall_s\": {},\n  \
-         \"interpreted_serial_wall_s\": {},\n  \"table_serial_wall_s\": {},\n  \
-         \"speedup\": {},\n  \"compile_speedup\": {},\n  \"table_speedup\": {},\n  \
+         \"table_serial_wall_s\": {},\n  \
+         \"speedup\": {},\n  \"table_speedup\": {},\n  \
          \"identical\": {},\n  \
          \"total_sim_events\": {},\n  \
          \"events_per_sec\": {},\n  \"serial_events_per_sec\": {},\n  \
-         \"interpreted_serial_events_per_sec\": {},\n  \
          \"table_serial_events_per_sec\": {},\n  \
          \"samples_recorded\": {},\n  \"measure_events_per_sec\": {},\n  \
          \"batch_flushes\": {},\n  \"samples_per_flush\": {},\n  \
          \"staged_samples_per_sec\": {},\n  \
          \"batch_steps_per_dispatch\": {},\n  \
-         \"compile_steps_per_dispatch\": {},\n  \
          \"cells\": [\n{}\n  ]\n}}\n",
         json_str(&format!("{:?}", cfg.duration)),
         cfg.seed,
@@ -336,23 +297,19 @@ pub fn render_json(cfg: &RunConfig, r: &TimingReport) -> String {
         crate::parallel::host_cores(),
         cfg.shards,
         r.repeats,
-        cfg.compile,
         json_str(cfg.sampler_mode.as_str()),
         json_str("v2"),
         json_str(HOST_PHASE_NOTE),
         json_f64(r.grid_imbalance()),
         json_f64(r.serial.total_wall_s),
         json_f64(r.parallel.total_wall_s),
-        json_f64(r.interpreted.total_wall_s),
         json_f64(r.table.total_wall_s),
         json_f64(r.speedup()),
-        json_f64(r.compile_speedup()),
         json_f64(r.table_speedup()),
         r.identical,
         total_events,
         json_f64(total_events as f64 / r.parallel.total_wall_s.max(1e-9)),
         json_f64(total_events as f64 / r.serial.total_wall_s.max(1e-9)),
-        json_f64(total_events as f64 / r.interpreted.total_wall_s.max(1e-9)),
         json_f64(table_events as f64 / r.table.total_wall_s.max(1e-9)),
         total_samples,
         json_f64(r.measure_events_per_sec()),
@@ -360,7 +317,6 @@ pub fn render_json(cfg: &RunConfig, r: &TimingReport) -> String {
         json_f64(r.samples_per_flush()),
         json_f64(r.staged_samples_per_sec()),
         json_f64(total_steps as f64 / total_dispatches.max(1) as f64),
-        json_f64(total_compiled as f64 / total_dispatches.max(1) as f64),
         cells
     )
 }
@@ -371,7 +327,6 @@ pub fn render_summary(r: &TimingReport) -> String {
     let mut out = format!(
         "Harness timing: 8 cells ({} shard jobs), best of {}: serial {:.2} s \
          vs {} threads {:.2} s ({:.2}x speedup, shard imbalance {:.2}) \
-         vs interpreted serial {:.2} s ({:.2}x from compilation) \
          vs table serial {:.2} s ({:.2}x from table sampling), \
          measure path {:.0} samples/s ({:.0} staged/flush), outputs {}\n\n",
         total_jobs,
@@ -381,8 +336,6 @@ pub fn render_summary(r: &TimingReport) -> String {
         r.parallel.total_wall_s,
         r.speedup(),
         r.grid_imbalance(),
-        r.interpreted.total_wall_s,
-        r.compile_speedup(),
         r.table.total_wall_s,
         r.table_speedup(),
         r.measure_events_per_sec(),
@@ -394,40 +347,35 @@ pub fn render_summary(r: &TimingReport) -> String {
         }
     );
     out += &format!(
-        "{:<16}{:<18}{:>10}{:>16}{:>14}{:>16}{:>14}{:>13}{:>9}{:>12}{:>12}\n",
+        "{:<16}{:<18}{:>10}{:>16}{:>14}{:>16}{:>13}{:>9}{:>12}\n",
         "OS",
         "workload",
         "wall s",
         "sim events",
         "events/s",
         "serial ev/s",
-        "interp ev/s",
         "table ev/s",
         "speedup",
-        "steps/disp",
-        "comp/disp"
+        "steps/disp"
     );
-    for (((t, s), n), b) in r
+    for ((t, s), b) in r
         .parallel
         .timings
         .iter()
         .zip(&r.serial.timings)
-        .zip(&r.interpreted.timings)
         .zip(&r.table.timings)
     {
         out += &format!(
-            "{:<16}{:<18}{:>10.2}{:>16}{:>14.0}{:>16.0}{:>14.0}{:>13.0}{:>8.2}x{:>12.2}{:>12.2}\n",
+            "{:<16}{:<18}{:>10.2}{:>16}{:>14.0}{:>16.0}{:>13.0}{:>8.2}x{:>12.2}\n",
             t.os.name(),
             t.workload.name(),
             t.wall_s,
             t.sim_events,
             t.sim_events as f64 / t.wall_s.max(1e-9),
             s.sim_events as f64 / s.wall_s.max(1e-9),
-            n.sim_events as f64 / n.wall_s.max(1e-9),
             b.sim_events as f64 / b.wall_s.max(1e-9),
             s.wall_s / t.wall_s.max(1e-9),
-            t.steps_executed as f64 / t.step_dispatches.max(1) as f64,
-            t.compiled_steps as f64 / t.step_dispatches.max(1) as f64
+            t.steps_executed as f64 / t.step_dispatches.max(1) as f64
         );
     }
     out
@@ -468,7 +416,6 @@ mod tests {
             threads: 2,
             shards: 1,
             trace: false,
-            compile: true,
             sampler_mode: wdm_osmodel::dist::SamplerMode::Exact,
             batch_record: true,
             blame: None,
@@ -477,16 +424,14 @@ mod tests {
         let r = run(&cfg, None);
         assert!(
             r.identical,
-            "serial, parallel and interpreted summaries must match"
+            "serial and parallel summaries must match"
         );
         assert_eq!(r.parallel.timings.len(), 8);
-        assert_eq!(r.interpreted.timings.len(), 8);
         assert_eq!(r.table.timings.len(), 8);
         let json = render_json(&cfg, &r);
         assert!(json.contains("\"artifact\": \"BENCH_cells\""));
         assert!(json.contains("\"identical\": true"));
         assert!(json.contains("\"threads\": 2"));
-        assert!(json.contains("\"compiled\": true"));
         assert_eq!(json.matches("\"workload\":").count(), 8);
         // Shard metadata: one grid aggregate plus one entry per cell. A
         // 0.02-minute window cannot split, so every cell reports 1 shard
@@ -504,17 +449,9 @@ mod tests {
         assert_eq!(json.matches("\"serial_wall_s\":").count(), 8 + 1);
         assert_eq!(json.matches("\"serial_events_per_sec\":").count(), 8 + 1);
         assert_eq!(json.matches("\"speedup\":").count(), 8 + 1);
-        // Per-cell batch/compile factors plus grid-wide aggregates, and
-        // the host core count the speedup should be judged against.
+        // Per-cell batch factors plus a grid-wide aggregate, and the host
+        // core count the speedup should be judged against.
         assert_eq!(json.matches("\"batch_steps_per_dispatch\":").count(), 8 + 1);
-        assert_eq!(json.matches("\"compile_steps_per_dispatch\":").count(), 8 + 1);
-        assert_eq!(json.matches("\"interpreted_events_per_sec\":").count(), 8);
-        assert_eq!(
-            json.matches("\"interpreted_serial_events_per_sec\":").count(),
-            1
-        );
-        assert_eq!(json.matches("\"interpreted_serial_wall_s\":").count(), 1);
-        assert_eq!(json.matches("\"compile_speedup\":").count(), 1);
         assert_eq!(json.matches("\"host_cores\":").count(), 1);
         // The table sampler pass and the measurement-path rate ride along:
         // one aggregate each plus per-cell entries.
@@ -562,9 +499,7 @@ mod tests {
             );
         }
         // Batching must actually engage: every cell executes more than one
-        // step per dispatch into the kernel's inner loop. Compilation must
-        // engage on the compiled passes and stay out of the interpreted
-        // one.
+        // step per dispatch into the kernel's inner loop.
         for t in r.parallel.timings.iter().chain(&r.serial.timings) {
             assert!(
                 t.steps_executed as f64 / t.step_dispatches.max(1) as f64 > 1.0,
@@ -574,31 +509,14 @@ mod tests {
                 t.steps_executed,
                 t.step_dispatches
             );
-            assert!(
-                t.compiled_steps > 0,
-                "{} / {} cell must run compiled steps",
-                t.os.name(),
-                t.workload.name()
-            );
-        }
-        for t in &r.interpreted.timings {
-            assert_eq!(
-                t.compiled_steps,
-                0,
-                "{} / {} interpreted cell must not compile",
-                t.os.name(),
-                t.workload.name()
-            );
         }
         let text = render_summary(&r);
         assert!(text.contains("identical"));
         assert!(text.contains("serial ev/s"));
-        assert!(text.contains("interp ev/s"));
         assert!(text.contains("table ev/s"));
         assert!(text.contains("samples/s"));
         assert!(text.contains("staged/flush"));
         assert!(text.contains("steps/disp"));
-        assert!(text.contains("comp/disp"));
     }
 
     #[test]

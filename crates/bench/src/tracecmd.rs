@@ -88,7 +88,6 @@ mod tests {
             threads: 1,
             shards: 1,
             trace: false,
-            compile: true,
             sampler_mode: wdm_osmodel::dist::SamplerMode::Exact,
             batch_record: true,
             blame: None,

@@ -68,11 +68,14 @@ fn unknown_flags_and_artifacts_exit_2_with_usage() {
 }
 
 #[test]
-fn retired_and_unknown_stats_flags_exit_2_with_usage() {
-    // The one-release `--stats-v1` escape hatch is retired along with the
-    // whole `--stats-*` family; any survivor in a script must fail loudly
-    // rather than silently measuring in the wrong mode.
+fn retired_flags_exit_2_with_usage() {
+    // Escape hatches retire with the path they guarded: the one-release
+    // `--stats-v1` hatch along with the whole `--stats-*` family, and
+    // `--no-compile` along with the compiled program walker. Any survivor
+    // in a script must fail loudly rather than silently measuring in the
+    // wrong mode.
     assert_usage_rejection(&["digest", "--stats-v1"], "--stats-v1");
+    assert_usage_rejection(&["digest", "--no-compile"], "--no-compile");
     assert_usage_rejection(&["digest", "--stats-v2"], "--stats-v2");
     assert_usage_rejection(&["digest", "--stats-v0"], "--stats-v0");
     assert_usage_rejection(&["digest", "--stats-legacy"], "--stats-legacy");
@@ -115,16 +118,15 @@ fn armed_forensics_digest_is_bit_identical() {
 
 #[test]
 fn escape_hatches_parse_and_run() {
-    // A tiny grid proves --no-batch-record / --no-compile reach the
-    // harness rather than dying in the parser. Digest output goes to
-    // stdout; 0.02 simulated minutes keeps the run under a second.
+    // A tiny grid proves --no-batch-record reaches the harness rather than
+    // dying in the parser. Digest output goes to stdout; 0.02 simulated
+    // minutes keeps the run under a second.
     let out = repro(&[
         "digest",
         "--minutes",
         "0.02",
         "--quiet",
         "--no-batch-record",
-        "--no-compile",
     ]);
     assert!(
         out.status.success(),

@@ -16,7 +16,6 @@ fn grid_digests_at(minutes: f64, seed: u64, threads: usize, shards: usize) -> Ve
         threads,
         shards,
         trace: false,
-        compile: true,
         sampler_mode: wdm_osmodel::dist::SamplerMode::Exact,
         batch_record: true,
         blame: None,
@@ -80,7 +79,6 @@ fn tracing_leaves_the_grid_bit_identical() {
         threads: 2,
         shards: 1,
         trace: false,
-        compile: true,
         sampler_mode: wdm_osmodel::dist::SamplerMode::Exact,
         batch_record: true,
         blame: None,
@@ -136,7 +134,6 @@ fn forensics_armed_grid_is_digest_neutral_and_thread_deterministic() {
         threads: 1,
         shards: 2,
         trace: false,
-        compile: true,
         sampler_mode: wdm_osmodel::dist::SamplerMode::Exact,
         batch_record: true,
         blame: None,
@@ -219,7 +216,6 @@ fn shard_count_changes_the_stream_but_not_the_window() {
         threads: 1,
         shards: 1,
         trace: false,
-        compile: true,
         sampler_mode: wdm_osmodel::dist::SamplerMode::Exact,
         batch_record: true,
         blame: None,
@@ -406,7 +402,6 @@ fn digests_are_sensitive_to_the_seed() {
         threads: 1,
         shards: 1,
         trace: false,
-        compile: true,
         sampler_mode: wdm_osmodel::dist::SamplerMode::Exact,
         batch_record: true,
         blame: None,

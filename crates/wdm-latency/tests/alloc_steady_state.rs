@@ -1,7 +1,7 @@
 //! Steady-state allocation audit for the measurement fast path.
 //!
 //! Companion to `wdm-sim/tests/alloc_steady_state.rs`, which pins the
-//! compiled step loop; this binary pins the *measurement* side of the
+//! interpreted step loop; this binary pins the *measurement* side of the
 //! cycle-domain fast path (DESIGN.md §12): once a [`LatencySeries`] has
 //! built its integer bin edges and grown its block-maxima vector to
 //! steady capacity, a record-heavy window — compiled sampler draws (exact
@@ -11,13 +11,14 @@
 //! through a [`SampleStage`] and flushed (partition + fold + reset), also
 //! at zero heap operations.
 //!
-//! The file holds a single `#[test]` on purpose: the counter is global, so
-//! a sibling test running concurrently would bleed its allocations into
-//! the measured window.
+//! The counter is per thread, because everything audited runs on the
+//! test's own thread. A global counter also saw the test harness's main
+//! thread, whose bookkeeping allocations landed in the measured window on
+//! roughly one run in ten, failing the audit for code it never ran.
 
 use std::{
     alloc::{GlobalAlloc, Layout, System},
-    sync::atomic::{AtomicU64, Ordering},
+    cell::Cell,
 };
 
 use rand::{rngs::StdRng, SeedableRng};
@@ -28,20 +29,28 @@ use wdm_sim::time::{Cycles, Instant};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static FREES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Heap operations (allocations, frees and reallocations) made by this
+    /// thread. Const-initialised with no destructor, so the allocator can
+    /// bump it without allocating.
+    static HEAP_OPS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_op() {
+    HEAP_OPS.with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_op();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        FREES.fetch_add(1, Ordering::Relaxed);
+        count_op();
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_op();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -50,7 +59,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn heap_ops() -> u64 {
-    ALLOCS.load(Ordering::Relaxed) + FREES.load(Ordering::Relaxed)
+    HEAP_OPS.with(Cell::get)
 }
 
 const CPU_HZ: u64 = 300_000_000;

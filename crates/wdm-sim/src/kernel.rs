@@ -27,7 +27,6 @@ use rand::{rngs::StdRng, RngCore, SeedableRng};
 
 use crate::{
     calendar::Calendar,
-    compile::{COp, CompileCache, CompiledBlock},
     config::KernelConfig,
     dpc::{DpcImportance, DpcQueue},
     env::{EnvAction, EnvSource},
@@ -60,9 +59,6 @@ pub struct DpcObject {
     pub importance: DpcImportance,
     /// The routine; taken out while executing.
     program: Option<Box<dyn Program>>,
-    /// Compiled stream of the routine, when it has a static shape. While
-    /// present, executions walk this and never touch `program`.
-    compiled: Option<Rc<CompiledBlock>>,
     /// Executions so far.
     pub run_count: u64,
 }
@@ -70,12 +66,7 @@ pub struct DpcObject {
 /// ISR body for a vector: a user program, or the kernel's internal clock
 /// ISR for the PIT vector.
 enum IsrBody {
-    User {
-        program: Option<Box<dyn Program>>,
-        /// Compiled stream, when the ISR has a static shape. While
-        /// present, dispatches walk this and leave `program` in place.
-        compiled: Option<Rc<CompiledBlock>>,
-    },
+    User(Option<Box<dyn Program>>),
     Pit,
 }
 
@@ -103,10 +94,6 @@ enum FrameKind {
         asserted: Instant,
         interrupted: Label,
         program: Option<Box<dyn Program>>,
-        /// Compiled body (cloned from the vector at dispatch); `pc` is
-        /// the cursor, reset to 0 for each activation.
-        compiled: Option<Rc<CompiledBlock>>,
-        pc: u32,
         is_pit: bool,
         phase: u8,
     },
@@ -121,10 +108,6 @@ enum FrameKind {
 struct CurrentDpc {
     dpc: DpcId,
     program: Option<Box<dyn Program>>,
-    /// Compiled routine (cloned from the DPC object at pop); `pc` is the
-    /// cursor, starting at 0 for each execution.
-    compiled: Option<Rc<CompiledBlock>>,
-    pc: u32,
     queued: Instant,
     started: bool,
 }
@@ -254,10 +237,6 @@ pub struct Kernel {
     /// Busy chunks charged inline by the batched inner loop (never handed
     /// back to the outer decision loop).
     pub batched_steps: u64,
-    /// Steps executed from compiled instruction streams (a subset of
-    /// `steps_executed`). `compiled_steps / step_dispatches` is the
-    /// `compile_steps_per_dispatch` figure of the timing artifact.
-    pub compiled_steps: u64,
     /// Times the observer list was taken/restored for an event delivery.
     /// The `sim_primitives` bench asserts this stays zero for event kinds
     /// outside the registered interest union.
@@ -276,7 +255,7 @@ pub struct Kernel {
     /// (multiples of the period) it crosses to the executing label —
     /// purely observational, so digests are unchanged, and per-step
     /// charging in the fused paths keeps the counts independent of
-    /// batching and compilation.
+    /// batching.
     flame_period: u64,
     /// Virtual samples per label (dense by [`Label`] index).
     flame_counts: Vec<u64>,
@@ -288,11 +267,6 @@ pub struct Kernel {
     /// Batched fast-forward enabled (default). The equivalence proptest
     /// turns it off to drive the reference single-step path.
     batching: bool,
-    /// Program compilation enabled (default). Consulted at *attach* time
-    /// only; see [`Kernel::set_program_compilation`].
-    compiling: bool,
-    /// Lowered blocks, memoized per program shape.
-    compile_cache: CompileCache,
     /// Reusable buffer for threads released by a signal; kept empty
     /// between signals so SetEvent/ReleaseSemaphore never allocate.
     wake_scratch: Vec<ThreadId>,
@@ -352,7 +326,6 @@ impl Kernel {
             steps_executed: 0,
             step_dispatches: 0,
             batched_steps: 0,
-            compiled_steps: 0,
             notify_takes: 0,
             blame_overhead_cycles: 0,
             blame_prio_cycles: [0; 32],
@@ -360,8 +333,6 @@ impl Kernel {
             flame_counts: Vec::new(),
             horizon: Instant::ZERO,
             batching: true,
-            compiling: true,
-            compile_cache: CompileCache::new(),
             wake_scratch: Vec::new(),
             due_scratch: Vec::new(),
         }
@@ -451,22 +422,6 @@ impl Kernel {
         TimerId(self.timers.push(dpc))
     }
 
-    /// Lowers a program's static shape into a cached compiled block, when
-    /// compilation is on and the program declares one. Bails (returns
-    /// `None`, leaving the program interpreted) for shapes the walkers
-    /// cannot execute: an empty looping shape would be a cursor cycle with
-    /// no ops to run.
-    fn maybe_compile(&mut self, program: &dyn Program) -> Option<Rc<CompiledBlock>> {
-        if !self.compiling {
-            return None;
-        }
-        let shape = program.shape()?;
-        if shape.looping && shape.steps.is_empty() {
-            return None;
-        }
-        Some(self.compile_cache.lower(&shape))
-    }
-
     /// Creates a DPC object.
     pub fn create_dpc(
         &mut self,
@@ -474,13 +429,11 @@ impl Kernel {
         importance: DpcImportance,
         program: Box<dyn Program>,
     ) -> DpcId {
-        let compiled = self.maybe_compile(program.as_ref());
         let id = DpcId(self.dpcs.len());
         self.dpcs.push(DpcObject {
             name: name.to_string(),
             importance,
             program: Some(program),
-            compiled,
             run_count: 0,
         });
         id
@@ -488,9 +441,7 @@ impl Kernel {
 
     /// Creates a kernel thread, initially ready.
     pub fn create_thread(&mut self, name: &str, priority: u8, program: Box<dyn Program>) -> ThreadId {
-        let compiled = self.maybe_compile(program.as_ref());
         let id = ThreadId(self.threads.push(name, priority, program));
-        self.threads[id.0].compiled = compiled;
         self.ready.push_back(id, priority);
         self.resched = true;
         id
@@ -498,26 +449,18 @@ impl Kernel {
 
     /// Installs a device interrupt vector with a user ISR.
     pub fn install_vector(&mut self, name: &str, irql: Irql, isr: Box<dyn Program>) -> VectorId {
-        let compiled = self.maybe_compile(isr.as_ref());
         let id = self.ic.install(name, irql);
         debug_assert_eq!(id.0, self.isr_bodies.len());
-        self.isr_bodies.push(IsrBody::User {
-            program: Some(isr),
-            compiled,
-        });
+        self.isr_bodies.push(IsrBody::User(Some(isr)));
         id
     }
 
     /// Installs a non-maskable vector: its ISR is dispatched even inside
     /// cli windows, like the Pentium II performance-counter NMI (§6.1).
     pub fn install_nmi_vector(&mut self, name: &str, irql: Irql, isr: Box<dyn Program>) -> VectorId {
-        let compiled = self.maybe_compile(isr.as_ref());
         let id = self.ic.install_nmi(name, irql);
         debug_assert_eq!(id.0, self.isr_bodies.len());
-        self.isr_bodies.push(IsrBody::User {
-            program: Some(isr),
-            compiled,
-        });
+        self.isr_bodies.push(IsrBody::User(Some(isr)));
         id
     }
 
@@ -594,30 +537,6 @@ impl Kernel {
     /// settings produce byte-identical simulations.
     pub fn set_step_batching(&mut self, on: bool) {
         self.batching = on;
-    }
-
-    /// Enables or disables program compilation (enabled by default).
-    ///
-    /// Unlike [`Kernel::set_step_batching`], this is consulted at *attach*
-    /// time (`create_thread` / `create_dpc` / `install_vector`): programs
-    /// attached while the flag is off stay interpreted for their lifetime,
-    /// and toggling mid-run only affects future attachments. Disable it
-    /// before building a scenario to get the fully interpreted reference
-    /// path (`repro --no-compile`). Both settings produce byte-identical
-    /// simulations.
-    pub fn set_program_compilation(&mut self, on: bool) {
-        self.compiling = on;
-    }
-
-    /// Whether program compilation is currently enabled for new
-    /// attachments.
-    pub fn program_compilation(&self) -> bool {
-        self.compiling
-    }
-
-    /// Number of distinct program shapes lowered so far.
-    pub fn compiled_shapes(&self) -> usize {
-        self.compile_cache.len()
     }
 
     // ------------------------------------------------------------------
@@ -760,7 +679,6 @@ impl Kernel {
         m.counter("sim.steps_executed", self.steps_executed);
         m.counter("sim.step_dispatches", self.step_dispatches);
         m.counter("sim.batched_steps", self.batched_steps);
-        m.counter("sim.compiled_steps", self.compiled_steps);
         m.counter("sim.notify_takes", self.notify_takes);
         m.counter("sim.calendar_tick_work", self.calendar_tick_work());
         m.counter("sim.context_switches", self.context_switches);
@@ -787,7 +705,7 @@ impl Kernel {
     /// of `cycles` simulated time crosses counts one sample against the
     /// label executing at that instant. 0 disarms. Purely observational —
     /// run digests are unchanged — and per-step charging in the fused
-    /// paths makes the counts independent of batching and compilation.
+    /// paths makes the counts independent of batching.
     pub fn set_flame_period(&mut self, cycles: u64) {
         self.flame_period = cycles;
     }
@@ -1297,14 +1215,11 @@ impl Kernel {
         let asserted = self.ic.acknowledge(v);
         let interrupted = self.current_label;
         let is_pit = v == self.pit_vector;
-        // Compiled bodies stay in the vector slot (the walker never calls
-        // `step`); only interpreted bodies move into the frame.
-        let (program, compiled) = match &mut self.isr_bodies[v.0] {
-            IsrBody::User { program, compiled } => match compiled {
-                Some(c) => (None, Some(Rc::clone(c))),
-                None => (program.take(), None),
-            },
-            IsrBody::Pit => (None, None),
+        // The body moves into the frame for the activation and goes back
+        // to its vector slot when the frame retires.
+        let program = match &mut self.isr_bodies[v.0] {
+            IsrBody::User(program) => program.take(),
+            IsrBody::Pit => None,
         };
         let cost = self.config.isr_dispatch_cost;
         let irql = self.ic.vector(v).irql;
@@ -1314,8 +1229,6 @@ impl Kernel {
             asserted,
             interrupted,
             program,
-            compiled,
-            pc: 0,
             is_pit,
             phase: 0,
         };
@@ -1438,7 +1351,7 @@ impl Kernel {
                     ..
                 } = f.kind
                 {
-                    if let IsrBody::User { program, .. } = &mut self.isr_bodies[vector.0] {
+                    if let IsrBody::User(program) = &mut self.isr_bodies[vector.0] {
                         *program = Some(p);
                     }
                 }
@@ -1467,13 +1380,7 @@ impl Kernel {
                     FrameOutcome::Changed
                 }
                 Some(entry) => {
-                    // Compiled routines stay in the DPC object; only
-                    // interpreted routines move into the drain frame.
-                    let obj = &mut self.dpcs[entry.dpc.0];
-                    let (program, compiled) = match &obj.compiled {
-                        Some(c) => (None, Some(Rc::clone(c))),
-                        None => (obj.program.take(), None),
-                    };
+                    let program = self.dpcs[entry.dpc.0].program.take();
                     let cost = self.config.dpc_dispatch_cost;
                     let f = &mut self.frames[idx];
                     let FrameKind::DpcDrain { current } = &mut f.kind else {
@@ -1482,8 +1389,6 @@ impl Kernel {
                     *current = Some(CurrentDpc {
                         dpc: entry.dpc,
                         program,
-                        compiled,
-                        pc: 0,
                         queued: entry.queued_at,
                         started: false,
                     });
@@ -1585,9 +1490,6 @@ impl Kernel {
     /// bumps `sim_events` by the one iteration the single-step path would
     /// have spent, keeping run digests byte-identical.
     fn run_frame_steps(&mut self, idx: usize) -> FrameOutcome {
-        if let Some(block) = self.frame_compiled(idx) {
-            return self.run_frame_compiled(idx, block);
-        }
         let mut program = self.take_frame_program(idx);
         let Some(p) = program.as_mut() else {
             // No program (should not happen for user frames): retire.
@@ -1666,147 +1568,6 @@ impl Kernel {
         }
     }
 
-    /// The compiled body of the frame at `idx`, if it has one.
-    fn frame_compiled(&self, idx: usize) -> Option<Rc<CompiledBlock>> {
-        match &self.frames[idx].kind {
-            FrameKind::Isr { compiled, .. } => compiled.clone(),
-            FrameKind::DpcDrain {
-                current: Some(c), ..
-            } => c.compiled.clone(),
-            _ => None,
-        }
-    }
-
-    /// Stores the compiled cursor back into the frame at `idx`.
-    fn set_frame_pc(&mut self, idx: usize, pc: u32) {
-        match &mut self.frames[idx].kind {
-            FrameKind::Isr { pc: p, .. } => *p = pc,
-            FrameKind::DpcDrain {
-                current: Some(c), ..
-            } => c.pc = pc,
-            _ => unreachable!("compiled cursor on a cli/section frame"),
-        }
-    }
-
-    /// The compiled-stream twin of the interpreted loop in
-    /// [`Kernel::run_frame_steps`]: a cursor walk over the frame's
-    /// [`CompiledBlock`] instead of virtual `step` calls.
-    ///
-    /// Counter parity is exact: every op (never a `Jump`) bumps
-    /// `steps_executed` once, and a fused busy *run* bumps
-    /// `sim_events`/`batched_steps`/`steps_executed` by the number of
-    /// chunks fused — precisely what the interpreted batcher does fusing
-    /// them one at a time — so run digests are independent of compilation.
-    /// The pre-summed prefixes just let the run charge in O(log n) instead
-    /// of a step-call per chunk.
-    fn run_frame_compiled(&mut self, idx: usize, block: Rc<CompiledBlock>) -> FrameOutcome {
-        self.step_dispatches += 1;
-        let is_isr = matches!(self.frames[idx].kind, FrameKind::Isr { .. });
-        let mut pc = match &self.frames[idx].kind {
-            FrameKind::Isr { pc, .. } => *pc,
-            FrameKind::DpcDrain {
-                current: Some(c), ..
-            } => c.pc,
-            _ => unreachable!("compiled walk on a cli/section frame"),
-        };
-        let mut guard = 0u32;
-        loop {
-            guard += 1;
-            assert!(guard < 100_000, "ISR/DPC program spinning without time");
-            let step = match block.op(pc) {
-                COp::Jump(target) => {
-                    // A loop back-edge: cursor-only, not a simulated step.
-                    pc = target;
-                    continue;
-                }
-                COp::Busy => {
-                    if self.batching {
-                        let budget = self.horizon - self.now;
-                        if let Some(m) = block.fusable_prefix(pc, budget) {
-                            // Fast-forward the whole fusable run prefix in
-                            // one charge. Chunks ending exactly at the
-                            // horizon are NOT fused — `fusable_prefix`
-                            // mirrors the interpreted strictly-before test.
-                            let first = block.busy(pc);
-                            let last = block.busy(m);
-                            let sum = last.prefix - (first.prefix - first.cycles);
-                            let k = (m - pc + 1) as u64;
-                            if is_isr {
-                                self.account.isr += sum.0;
-                            } else {
-                                self.account.dpc += sum.0;
-                            }
-                            self.current_label = last.label;
-                            if self.flame_period != 0 {
-                                // Per-chunk charging keeps the flame counts
-                                // identical to the single-step path.
-                                let mut at = self.now;
-                                for j in pc..=m {
-                                    let b = block.busy(j);
-                                    self.flame_charge(at, at + b.cycles, b.label);
-                                    at = at + b.cycles;
-                                }
-                            }
-                            self.now = self.now + sum;
-                            self.sim_events += k;
-                            self.batched_steps += k;
-                            self.steps_executed += k;
-                            self.compiled_steps += k;
-                            pc = m + 1;
-                            continue;
-                        }
-                    }
-                    // Chunk reaches the horizon (or batching is off): hand
-                    // it back to the decision loop.
-                    let c = block.busy(pc);
-                    pc += 1;
-                    self.steps_executed += 1;
-                    self.compiled_steps += 1;
-                    self.set_frame_pc(idx, pc);
-                    self.frames[idx].exec = ExecState::Busy {
-                        remaining: c.cycles,
-                        label: c.label,
-                    };
-                    return FrameOutcome::Changed;
-                }
-                COp::Other(s) => {
-                    pc += 1;
-                    self.steps_executed += 1;
-                    self.compiled_steps += 1;
-                    s
-                }
-            };
-            match step {
-                Step::BusyCli { cycles, label } => {
-                    self.frames[idx].exec = ExecState::NeedStep;
-                    self.set_frame_pc(idx, pc);
-                    self.push_cli(cycles, label);
-                    return FrameOutcome::Changed;
-                }
-                Step::Return => {
-                    self.set_frame_pc(idx, pc);
-                    self.retire_frame_body(idx);
-                    return FrameOutcome::Changed;
-                }
-                Step::Wait(_) | Step::WaitTimeout(..) | Step::WaitAny(_) | Step::Sleep(_) => {
-                    panic!("blocking step in ISR/DPC context (IRQL >= DISPATCH)")
-                }
-                Step::ReleaseMutex(_) => {
-                    panic!("mutex release in ISR/DPC context (IRQL >= DISPATCH)")
-                }
-                Step::SetPriority(_)
-                | Step::RaiseIrql(_)
-                | Step::LowerIrql
-                | Step::Yield
-                | Step::Exit => {
-                    panic!("thread-only step in ISR/DPC context")
-                }
-                Step::Busy { .. } => unreachable!("busy handled above"),
-                other => self.apply_service_step(other),
-            }
-        }
-    }
-
     /// Ends the body of the frame at `idx` after its program returned.
     fn retire_frame_body(&mut self, idx: usize) {
         match &mut self.frames[idx].kind {
@@ -1819,12 +1580,9 @@ impl Kernel {
             }
             FrameKind::DpcDrain { current } => {
                 // Return the program to the DPC object and move to the
-                // next. Compiled executions never took it (`c.program` is
-                // None), and overwriting would destroy the object's copy.
+                // next.
                 if let Some(c) = current.take() {
-                    if c.program.is_some() {
-                        self.dpcs[c.dpc.0].program = c.program;
-                    }
+                    self.dpcs[c.dpc.0].program = c.program;
                 }
                 self.frames[idx].exec = ExecState::NeedStep;
             }
@@ -2036,77 +1794,6 @@ impl Kernel {
                     p.step(&mut ctx)
                 };
                 self.threads[t.0].active_apc = Some((apc, p));
-                step
-            } else if self.threads[t.0].compiled.is_some() {
-                // Compiled acquisition: walk the block instead of calling
-                // the boxed program. The steps produced — and the shared
-                // handling below — are identical to the interpreted path;
-                // fused busy runs are charged here (where the prefix sums
-                // live) with exact counter parity, everything else flows
-                // into the common match.
-                let block = Rc::clone(self.threads[t.0].compiled.as_ref().expect("checked"));
-                let mut pc = self.threads[t.0].pc;
-                let step = loop {
-                    guard += 1;
-                    assert!(guard < 100_000, "thread program spinning without time");
-                    match block.op(pc) {
-                        COp::Jump(target) => pc = target,
-                        COp::Other(s) => {
-                            pc += 1;
-                            self.compiled_steps += 1;
-                            break s;
-                        }
-                        COp::Busy => {
-                            if self.batching {
-                                let budget = horizon - self.now;
-                                if let Some(m) = block.fusable_prefix(pc, budget) {
-                                    let first = block.busy(pc);
-                                    let last = block.busy(m);
-                                    let sum = last.prefix - (first.prefix - first.cycles);
-                                    let k = (m - pc + 1) as u64;
-                                    let i = t.0;
-                                    debug_assert!(
-                                        !self.threads.in_overhead[i],
-                                        "fused chunk during overhead"
-                                    );
-                                    self.threads.quantum_remaining[i] =
-                                        self.threads.quantum_remaining[i].saturating_sub(sum);
-                                    self.account.thread += sum.0;
-                                    if self.wants(Interest::RESUME_BLAME) {
-                                        // Never overhead here (asserted
-                                        // above): pure program work.
-                                        self.blame_prio_cycles
-                                            [self.threads.priority[i] as usize] += sum.0;
-                                    }
-                                    self.current_label = last.label;
-                                    if self.flame_period != 0 {
-                                        let mut at = self.now;
-                                        for j in pc..=m {
-                                            let b = block.busy(j);
-                                            self.flame_charge(at, at + b.cycles, b.label);
-                                            at = at + b.cycles;
-                                        }
-                                    }
-                                    self.now = self.now + sum;
-                                    self.sim_events += k;
-                                    self.batched_steps += k;
-                                    self.steps_executed += k;
-                                    self.compiled_steps += k;
-                                    pc = m + 1;
-                                    continue;
-                                }
-                            }
-                            let c = block.busy(pc);
-                            pc += 1;
-                            self.compiled_steps += 1;
-                            break Step::Busy {
-                                cycles: c.cycles,
-                                label: c.label,
-                            };
-                        }
-                    }
-                };
-                self.threads[t.0].pc = pc;
                 step
             } else {
                 let mut program = self.threads[t.0].program.take();

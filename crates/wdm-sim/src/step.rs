@@ -149,20 +149,6 @@ pub trait Program {
 
     /// Produces the next operation to execute.
     fn step(&mut self, ctx: &mut StepCtx<'_>) -> Step;
-
-    /// The program's static shape, if it has one.
-    ///
-    /// Returning `Some` promises the strict contract of
-    /// [`crate::compile`]: the program yields exactly this step stream on
-    /// every activation, and neither `begin` nor `step` touches the
-    /// [`StepCtx`] (no RNG draws, no blackboard access, no dependence on
-    /// `now`). The kernel then compiles the shape at attach time and walks
-    /// the compiled block instead of calling `step`, so a wrong `Some` here
-    /// silently diverges from the interpreted reference — when in doubt,
-    /// keep the default `None` and stay interpreted.
-    fn shape(&self) -> Option<crate::compile::ProgramShape> {
-        None
-    }
 }
 
 /// Execution progress of an activity (ISR, DPC, section or thread).
@@ -268,13 +254,6 @@ impl Program for OpSeq {
             None => Step::Return,
         }
     }
-
-    fn shape(&self) -> Option<crate::compile::ProgramShape> {
-        Some(crate::compile::ProgramShape {
-            steps: self.steps.clone(),
-            looping: false,
-        })
-    }
 }
 
 /// A program that cycles through a fixed sequence of steps forever.
@@ -300,13 +279,6 @@ impl Program for LoopSeq {
         let s = self.steps[self.next];
         self.next = (self.next + 1) % self.steps.len();
         s
-    }
-
-    fn shape(&self) -> Option<crate::compile::ProgramShape> {
-        Some(crate::compile::ProgramShape {
-            steps: self.steps.clone(),
-            looping: true,
-        })
     }
 }
 

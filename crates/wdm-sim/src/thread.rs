@@ -12,10 +12,7 @@
 //! active busy chunk, wait deadlines) live in the parallel columns of
 //! [`crate::arena::ThreadTable`].
 
-use std::rc::Rc;
-
 use crate::{
-    compile::CompiledBlock,
     ids::WaitObject,
     labels::Label,
     step::{ExecState, Program},
@@ -53,13 +50,6 @@ pub struct Tcb {
     pub base_priority: u8,
     /// The thread's code. Taken out while the kernel steps it.
     pub program: Option<Box<dyn Program>>,
-    /// Compiled instruction stream, when the program has a static shape
-    /// and compilation was enabled at attach time. While present, the
-    /// kernel walks this instead of calling `program.step`.
-    pub compiled: Option<Rc<CompiledBlock>>,
-    /// Cursor into `compiled`; persists across blocks and preemptions
-    /// exactly like the boxed program's internal position would.
-    pub pc: u32,
     /// Whether `begin` has been delivered to the program.
     pub started: bool,
     /// What the thread is blocked on, if waiting on an object.
@@ -100,8 +90,6 @@ impl Tcb {
             name: name.to_string(),
             base_priority: priority,
             program: Some(program),
-            compiled: None,
-            pc: 0,
             started: false,
             wait: None,
             last_wait_timed_out: false,

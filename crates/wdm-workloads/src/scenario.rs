@@ -32,10 +32,6 @@ pub struct ScenarioOptions {
     pub virus_scanner: bool,
     /// Sound scheme (Table 4 uses Default; the headline data uses None).
     pub sound_scheme: SoundScheme,
-    /// Compile fixed-shape programs into flat instruction streams (the
-    /// default). Disable (`repro --no-compile`) to force the interpreted
-    /// reference path; both settings are byte-identical.
-    pub compile: bool,
     /// How distribution draws are lowered: `Exact` (default, bit-identical
     /// to the interpreted samplers) or `Table` (quantile-table inverse-CDF
     /// fast path, `repro --sampler-mode table`). See DESIGN.md §12.
@@ -47,7 +43,6 @@ impl Default for ScenarioOptions {
         ScenarioOptions {
             virus_scanner: false,
             sound_scheme: SoundScheme::None,
-            compile: true,
             sampler_mode: SamplerMode::Exact,
         }
     }
@@ -97,8 +92,6 @@ pub fn build_scenario(
     let personality = OsPersonality::of(os);
     let spec = WorkloadSpec::of(workload);
     let mut k = personality.build_kernel(seed);
-    // Attach-time switch: everything created below inherits it.
-    k.set_program_compilation(opts.compile);
     let cpu = k.config().cpu_hz;
     let mode = opts.sampler_mode;
 
