@@ -105,6 +105,30 @@ enum FrameKind {
     Section,
 }
 
+impl FrameKind {
+    /// The accounting level the frame's busy time is charged to.
+    fn level(&self) -> Level {
+        match self {
+            FrameKind::Isr { .. } => Level::Isr,
+            FrameKind::DpcDrain { .. } => Level::Dpc,
+            FrameKind::Cli => Level::Cli,
+            FrameKind::Section => Level::Section,
+        }
+    }
+}
+
+/// What a span of simulated time is charged to: one [`CycleAccount`]
+/// bucket each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Level {
+    Isr,
+    Dpc,
+    Cli,
+    Section,
+    Thread,
+    Idle,
+}
+
 struct CurrentDpc {
     dpc: DpcId,
     program: Option<Box<dyn Program>>,
@@ -223,10 +247,10 @@ pub struct Kernel {
     pub busy_overruns: u64,
     /// Decision-loop iterations executed by [`Kernel::run_until`]. A cheap
     /// proxy for simulation work, reported as events/sec by the bench
-    /// harness timing artifact. Busy chunks fast-forwarded inside the
-    /// batched inner loop count one each — exactly the outer-loop iteration
-    /// the single-step path would have spent on them — so the counter (and
-    /// with it every run digest) is independent of batching.
+    /// harness timing artifact. Busy chunks charged inline count one each —
+    /// exactly the outer-loop iteration the single-step path would have
+    /// spent on them — so the counter (and with it every run digest) is
+    /// independent of batching.
     pub sim_events: u64,
     /// Program steps pulled by the ISR/DPC/thread step loops.
     pub steps_executed: u64,
@@ -234,8 +258,9 @@ pub struct Kernel {
     /// is the `batch_steps_per_dispatch` figure of the timing artifact;
     /// values above 1 mean the inner loop is actually batching.
     pub step_dispatches: u64,
-    /// Busy chunks charged inline by the batched inner loop (never handed
-    /// back to the outer decision loop).
+    /// Busy chunks charged inline by a fused site (never handed back to the
+    /// outer decision loop). `sim_events - batched_steps` is the number of
+    /// real decision-loop iterations.
     pub batched_steps: u64,
     /// Times the observer list was taken/restored for an event delivery.
     /// The `sim_primitives` bench asserts this stays zero for event kinds
@@ -530,11 +555,11 @@ impl Kernel {
         }
     }
 
-    /// Enables or disables the batched fast-forward in the step loops
-    /// (enabled by default). With batching off every busy chunk goes back
-    /// through the outer decision loop — the reference path the
-    /// batched-vs-single-step equivalence proptest compares against. Both
-    /// settings produce byte-identical simulations.
+    /// Enables or disables the batched fast-forward (enabled by default;
+    /// DESIGN.md §8 lists the fused sites). With batching off every busy
+    /// chunk goes back through the outer decision loop — the reference
+    /// path the batched-vs-single-step equivalence proptest compares
+    /// against. Both settings produce byte-identical simulations.
     pub fn set_step_batching(&mut self, on: bool) {
         self.batching = on;
     }
@@ -970,67 +995,100 @@ impl Kernel {
             self.now = next;
             return;
         }
-        // Label the span for the flame sampler; idle residue samples as
-        // the idle loop without touching `current_label` (which keeps its
-        // "most recently executed" semantics for the cause tool).
-        let mut span_label = Label::IDLE;
         // Identify the active busy chunk: top frame or current thread.
+        // Anything else is idle residue, which samples as the idle loop
+        // without touching `current_label` (it keeps its "most recently
+        // executed" semantics for the cause tool).
+        let mut level = Level::Idle;
+        let mut span_label = Label::IDLE;
         if let Some(top) = self.frames.last_mut() {
+            // A frame awaiting its next step consumes no time; reaching
+            // idle here means the decision point was external (PIT/env).
             if let ExecState::Busy { remaining, label } = &mut top.exec {
                 if *remaining < delta {
                     debug_assert!(false, "frame busy overrun");
                     self.busy_overruns += 1;
                 }
                 *remaining = remaining.saturating_sub(delta);
-                self.current_label = *label;
+                level = top.kind.level();
                 span_label = *label;
-                match top.kind {
-                    FrameKind::Isr { .. } => self.account.isr += delta.0,
-                    FrameKind::DpcDrain { .. } => self.account.dpc += delta.0,
-                    FrameKind::Cli => self.account.cli += delta.0,
-                    FrameKind::Section => self.account.section += delta.0,
-                }
-            } else {
-                // A frame awaiting its next step consumes no time; reaching
-                // here means the decision point was external (PIT/env).
-                self.account.idle += delta.0;
             }
         } else if let Some(t) = self.current_thread {
-            let i = t.0;
-            if let ExecState::Busy { remaining, label } = &mut self.threads.exec[i] {
+            if let ExecState::Busy { remaining, label } = &mut self.threads.exec[t.0] {
                 if *remaining < delta {
                     debug_assert!(false, "thread busy overrun");
                     self.busy_overruns += 1;
                 }
                 *remaining = remaining.saturating_sub(delta);
-                self.current_label = *label;
+                level = Level::Thread;
                 span_label = *label;
-                if !self.threads.in_overhead[i] {
-                    self.threads.quantum_remaining[i] =
-                        self.threads.quantum_remaining[i].saturating_sub(delta);
-                }
-                self.account.thread += delta.0;
-                // Blame armed: split the thread charge into dispatch
-                // overhead vs program work by the running priority, so a
-                // resume window's components reconstruct it exactly.
-                if self.wants(Interest::RESUME_BLAME) {
-                    if self.threads.in_overhead[i] {
-                        self.blame_overhead_cycles += delta.0;
-                    } else {
-                        self.blame_prio_cycles[self.threads.priority[i] as usize] += delta.0;
-                    }
-                }
-            } else {
-                self.account.idle += delta.0;
             }
         } else {
             self.current_label = Label::IDLE;
-            self.account.idle += delta.0;
         }
+        self.charge(level, span_label, delta);
+    }
+
+    /// Charges `d` cycles of `label` executing at `level` and moves the
+    /// clock forward by `d`: the one place simulated time is spent, shared
+    /// by [`Kernel::advance_to`] and every inline fast-forward site, so a
+    /// fused chunk is accounted exactly as the decision loop would have.
+    ///
+    /// Fills the [`CycleAccount`] bucket; for thread time it also ticks the
+    /// running thread's quantum (program work only — dispatch overhead is
+    /// kernel time) and, while blame is armed, splits the charge into
+    /// dispatch overhead vs program work by the running priority, so a
+    /// resume window's components reconstruct it exactly. Busy time sets
+    /// `current_label`; every span feeds the flame sampler. A zero charge
+    /// is a no-op, as a zero-length advance is.
+    #[inline]
+    fn charge(&mut self, level: Level, label: Label, d: Cycles) {
+        if d.is_zero() {
+            return;
+        }
+        let a = &mut self.account;
+        match level {
+            Level::Isr => a.isr += d.0,
+            Level::Dpc => a.dpc += d.0,
+            Level::Cli => a.cli += d.0,
+            Level::Section => a.section += d.0,
+            Level::Idle => a.idle += d.0,
+            Level::Thread => {
+                a.thread += d.0;
+                let i = self.current_thread.expect("thread charge with no thread").0;
+                let overhead = self.threads.in_overhead[i];
+                if !overhead {
+                    self.threads.quantum_remaining[i] =
+                        self.threads.quantum_remaining[i].saturating_sub(d);
+                }
+                if self.wants(Interest::RESUME_BLAME) {
+                    if overhead {
+                        self.blame_overhead_cycles += d.0;
+                    } else {
+                        self.blame_prio_cycles[self.threads.priority[i] as usize] += d.0;
+                    }
+                }
+            }
+        }
+        if level != Level::Idle {
+            self.current_label = label;
+        }
+        let end = self.now + d;
         if self.flame_period != 0 {
-            self.flame_charge(self.now, next, span_label);
+            self.flame_charge(self.now, end, label);
         }
-        self.now = next;
+        self.now = end;
+    }
+
+    /// Charges a busy chunk inline instead of handing it back to the
+    /// decision loop, counting the one `run_until` iteration the
+    /// single-step path would have spent on it (so `sim_events`, and with
+    /// it every run digest, is independent of batching).
+    #[inline]
+    fn fuse(&mut self, level: Level, label: Label, d: Cycles) {
+        self.charge(level, label, d);
+        self.sim_events += 1;
+        self.batched_steps += 1;
     }
 
     /// Materializes the next runnable activity, processing completed busy
@@ -1247,15 +1305,40 @@ impl Kernel {
     // Frame execution
     // --------------------------------------------------------------
 
+    /// Advances the top frame: reports its running busy chunk, or moves its
+    /// state machine on once the chunk is done.
+    ///
+    /// A chunk that ends strictly before the preemption horizon is charged
+    /// inline and the state machine continues at once. This covers ISR
+    /// entry and exit, the clock ISR body, DPC dispatch, cli windows and
+    /// sections. [`Kernel::ensure_activity`] has just found no dispatchable
+    /// interrupt and no DPC that may preempt this frame, and nothing before
+    /// the horizon can change either answer: interrupts assert only from
+    /// calendar events, the frame's own IRQL is fixed, and only a step —
+    /// which cannot run while the chunk does — queues a DPC. So the
+    /// decision-loop iteration the single-step path spends at the chunk's
+    /// end would find exactly this frame and this state.
     fn frame_progress(&mut self) -> FrameOutcome {
         let top = self.frames.last_mut().expect("frame_progress needs a frame");
-        // A busy chunk still running?
-        if let ExecState::Busy { remaining, .. } = top.exec {
+        if let ExecState::Busy { remaining, label } = top.exec {
             if !remaining.is_zero() {
-                return FrameOutcome::Running(self.now + remaining);
+                let end = self.now + remaining;
+                if !(self.batching && end < self.horizon) {
+                    return FrameOutcome::Running(end);
+                }
+                top.exec = ExecState::Busy {
+                    remaining: Cycles::ZERO,
+                    label,
+                };
+                let level = top.kind.level();
+                self.fuse(level, label, remaining);
             }
         }
         // Busy complete (or NeedStep): advance the frame's state machine.
+        let top = self
+            .frames
+            .last_mut()
+            .expect("frame_progress needs a frame");
         match &mut top.kind {
             FrameKind::Cli | FrameKind::Section => {
                 // Single busy chunk; done.
@@ -1513,22 +1596,14 @@ impl Kernel {
             match step {
                 Step::Busy { cycles, label } => {
                     let end = self.now + cycles;
-                    if self.batching && end < self.horizon {
+                    if self.batching && end < self.horizon && !cycles.is_zero() {
                         // Fast-forward: charge the whole chunk here. A
                         // chunk ending exactly at the horizon is NOT fused
-                        // — due events must fire before the next step.
-                        match self.frames[idx].kind {
-                            FrameKind::Isr { .. } => self.account.isr += cycles.0,
-                            FrameKind::DpcDrain { .. } => self.account.dpc += cycles.0,
-                            _ => unreachable!("step loop on a cli/section frame"),
-                        }
-                        self.current_label = label;
-                        if self.flame_period != 0 {
-                            self.flame_charge(self.now, end, label);
-                        }
-                        self.now = end;
-                        self.sim_events += 1;
-                        self.batched_steps += 1;
+                        // — due events must fire before the next step. A
+                        // zero-length chunk is not either: the single-step
+                        // path retires it without a loop iteration.
+                        let level = self.frames[idx].kind.level();
+                        self.fuse(level, label, cycles);
                         continue;
                     }
                     self.frames[idx].exec = ExecState::Busy {
@@ -1726,12 +1801,14 @@ impl Kernel {
     /// Like [`Kernel::run_frame_steps`], busy chunks ending strictly before
     /// the preemption horizon are charged inline — here the horizon is
     /// additionally clipped to quantum expiry, so priority decay and
-    /// round-robin keep their exact single-step timing. Between fused
-    /// chunks nothing the outer loop re-checks can change: interrupts
-    /// assert only from calendar events, DPCs queue and threads ready only
-    /// from kernel-interacting steps (which all exit this loop), and the
-    /// thread's IRQL is constant. Each inline charge bumps `sim_events` by
-    /// the one outer iteration the single-step path would have spent.
+    /// round-robin keep their exact single-step timing. So are service-call
+    /// charges that leave the dispatcher nothing to do (see the guard at
+    /// the bottom of the loop). Between fused chunks nothing the outer loop
+    /// re-checks can change: interrupts assert only from calendar events,
+    /// a call that readies an outranking thread, queues a DPC or lowers the
+    /// IRQL fails the guard, and raising the IRQL only masks more. Each
+    /// inline charge bumps `sim_events` by the one outer iteration the
+    /// single-step path would have spent.
     fn run_thread_steps(&mut self, t: ThreadId) -> ThreadOutcome {
         self.step_dispatches += 1;
         // `maybe_expire_quantum` ran just before this call, so the quantum
@@ -1844,21 +1921,11 @@ impl Kernel {
                         // ending exactly at the horizon is NOT fused — due
                         // events and quantum expiry must be processed
                         // before the next step.
-                        let i = t.0;
-                        debug_assert!(!self.threads.in_overhead[i], "fused chunk during overhead");
-                        self.threads.quantum_remaining[i] =
-                            self.threads.quantum_remaining[i].saturating_sub(cycles);
-                        self.account.thread += cycles.0;
-                        if self.wants(Interest::RESUME_BLAME) {
-                            self.blame_prio_cycles[self.threads.priority[i] as usize] += cycles.0;
-                        }
-                        self.current_label = label;
-                        if self.flame_period != 0 {
-                            self.flame_charge(self.now, end, label);
-                        }
-                        self.now = end;
-                        self.sim_events += 1;
-                        self.batched_steps += 1;
+                        debug_assert!(
+                            !self.threads.in_overhead[t.0],
+                            "fused chunk during overhead"
+                        );
+                        self.fuse(Level::Thread, label, cycles);
                         continue;
                     }
                     self.threads.exec[t.0] = ExecState::Busy {
@@ -1872,23 +1939,21 @@ impl Kernel {
                     return ThreadOutcome::Changed;
                 }
                 Step::Wait(obj) => {
-                    if self.try_acquire(obj, t) {
-                        self.threads[t.0].waits_satisfied += 1;
-                        self.threads[t.0].last_wait_timed_out = false;
-                        return self.charge_service(t);
+                    if !self.try_acquire(obj, t) {
+                        self.block_thread(t, Some(obj), None);
+                        return ThreadOutcome::Changed;
                     }
-                    self.block_thread(t, Some(obj), None);
-                    return ThreadOutcome::Changed;
+                    self.threads[t.0].waits_satisfied += 1;
+                    self.threads[t.0].last_wait_timed_out = false;
                 }
                 Step::WaitTimeout(obj, d) => {
-                    if self.try_acquire(obj, t) {
-                        self.threads[t.0].waits_satisfied += 1;
-                        self.threads[t.0].last_wait_timed_out = false;
-                        return self.charge_service(t);
+                    if !self.try_acquire(obj, t) {
+                        let deadline = self.now + d;
+                        self.block_thread(t, Some(obj), Some(deadline));
+                        return ThreadOutcome::Changed;
                     }
-                    let deadline = self.now + d;
-                    self.block_thread(t, Some(obj), Some(deadline));
-                    return ThreadOutcome::Changed;
+                    self.threads[t.0].waits_satisfied += 1;
+                    self.threads[t.0].last_wait_timed_out = false;
                 }
                 Step::WaitAny(set) => {
                     // Try each member in order without blocking. Take the
@@ -1904,20 +1969,16 @@ impl Kernel {
                         }
                     }
                     self.wait_sets[set.0] = objects;
-                    if let Some(i) = satisfied {
-                        let tcb = &mut self.threads[t.0];
-                        tcb.waits_satisfied += 1;
-                        tcb.last_wait_timed_out = false;
-                        tcb.last_wait_index = i;
-                        return self.charge_service(t);
-                    }
-                    self.block_thread_any(t, set);
-                    return ThreadOutcome::Changed;
+                    let Some(i) = satisfied else {
+                        self.block_thread_any(t, set);
+                        return ThreadOutcome::Changed;
+                    };
+                    let tcb = &mut self.threads[t.0];
+                    tcb.waits_satisfied += 1;
+                    tcb.last_wait_timed_out = false;
+                    tcb.last_wait_index = i;
                 }
-                Step::ReleaseMutex(m) => {
-                    self.do_release_mutex(m, t);
-                    return self.charge_service(t);
-                }
+                Step::ReleaseMutex(m) => self.do_release_mutex(m, t),
                 Step::Sleep(d) => {
                     let deadline = self.now + d;
                     self.block_thread(t, None, Some(deadline));
@@ -1931,7 +1992,6 @@ impl Kernel {
                     if self.ready.highest_priority() > Some(p_new) {
                         self.resched = true;
                     }
-                    return self.charge_service(t);
                 }
                 Step::RaiseIrql(irql) => {
                     assert!(
@@ -1939,14 +1999,12 @@ impl Kernel {
                         "KeRaiseIrql must raise the IRQL"
                     );
                     self.threads.irql[t.0] = irql;
-                    return self.charge_service(t);
                 }
                 Step::LowerIrql => {
                     self.threads.irql[t.0] = Irql::PASSIVE;
                     // DPCs blocked while raised may now drain, and any
                     // dispatch deferred by the raised IRQL must be retried.
                     self.resched = true;
-                    return self.charge_service(t);
                 }
                 Step::Yield => {
                     let priority = self.threads.priority[t.0];
@@ -1960,9 +2018,10 @@ impl Kernel {
                         self.resched = true;
                         return ThreadOutcome::Changed;
                     }
-                    // Nobody to yield to; refresh quantum and continue.
+                    // Nobody to yield to; refresh quantum and continue. The
+                    // batch horizon keeps the old, earlier quantum bound,
+                    // which only makes it conservative.
                     self.threads.quantum_remaining[t.0] = self.config.quantum;
-                    return self.charge_service(t);
                 }
                 Step::Exit => {
                     self.exit_thread(t);
@@ -1974,23 +2033,35 @@ impl Kernel {
                     self.block_thread(t, None, None);
                     return ThreadOutcome::Changed;
                 }
-                other => {
-                    self.apply_service_step(other);
-                    return self.charge_service(t);
-                }
+                other => self.apply_service_step(other),
             }
+            // Every step that gets here was a kernel service call: charge
+            // its cost, which also guarantees forward progress for programs
+            // made of instantaneous kernel calls. The charge fuses like a
+            // program chunk when it ends before the horizon and the call
+            // left nothing for the decision loop to act on: no dispatch
+            // request (a readied thread that outranks this one, a lowered
+            // IRQL or priority) and no queued DPC. Whatever else a call
+            // changes (slots, timers, lower-priority wakes, APCs) the next
+            // step sees either way. Otherwise the chunk goes back to the
+            // loop, which dispatches before it is charged. A zero cost
+            // never fuses: the single-step path spends no iteration on it.
+            let cost = self.config.service_call_cost;
+            if self.batching
+                && self.now + cost < horizon
+                && !cost.is_zero()
+                && !self.resched
+                && self.dpc_queue.is_empty()
+            {
+                self.fuse(Level::Thread, Label::KERNEL, cost);
+                continue;
+            }
+            self.threads.exec[t.0] = ExecState::Busy {
+                remaining: cost,
+                label: Label::KERNEL,
+            };
+            return ThreadOutcome::Changed;
         }
-    }
-
-    /// Charges the per-call kernel service cost to the running thread and
-    /// yields back to the main loop. Guarantees forward progress for
-    /// programs made of instantaneous kernel calls.
-    fn charge_service(&mut self, t: ThreadId) -> ThreadOutcome {
-        self.threads.exec[t.0] = ExecState::Busy {
-            remaining: self.config.service_call_cost,
-            label: Label::KERNEL,
-        };
-        ThreadOutcome::Changed
     }
 
     fn exit_thread(&mut self, t: ThreadId) {
